@@ -119,10 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_parallelism(requested: int) -> int:
+def _resolve_parallelism(requested: int, parser) -> int:
     env = os.environ.get("NFPL_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            parser.error(f"NFPL_THREADS must be an integer, got {env!r}")
     return max(1, requested)
 
 
@@ -242,6 +245,7 @@ def cmd_gen(args, parser) -> int:
 
 
 def cmd_run(args, parser) -> int:
+    parallelism = _resolve_parallelism(args.parallel, parser)
     trace_spec, trace = _resolve_trace(args, parser)
     horizon = len(trace)
     if args.c >= trace.catalog.n_files:
@@ -255,7 +259,7 @@ def cmd_run(args, parser) -> int:
         specs,
         runs=args.runs,
         base_seed=args.seed,
-        parallelism=_resolve_parallelism(args.parallel),
+        parallelism=parallelism,
         paired=not args.unpaired,
         regen_trace_per_run=args.regen_trace_per_run,
         checkpoints=default_checkpoints(horizon, args.checkpoints),
@@ -311,6 +315,7 @@ def cmd_sweep(args, parser) -> int:
     bad = [n for n in args.policies if n not in NFPL_FAMILY]
     if bad:
         parser.error(f"sweep only applies to sampling policies, got {bad}")
+    parallelism = _resolve_parallelism(args.parallel, parser)
     trace_spec, trace = _resolve_trace(args, parser)
     horizon = len(trace)
     if args.c >= trace.catalog.n_files:
@@ -320,7 +325,6 @@ def cmd_sweep(args, parser) -> int:
     modes = ("var", "fix") if args.mode == "both" else (args.mode,)
     base = _base_config(args, horizon)
     _, opt_misses = opt_static(trace, args.c)
-    parallelism = _resolve_parallelism(args.parallel)
 
     curves: dict[str, list[tuple[float, float, float]]] = {}
     for rate in args.rates:

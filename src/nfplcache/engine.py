@@ -5,6 +5,10 @@ seed): seeds are processed independently and aggregated in seed order,
 so the output is identical at any parallelism level. Within one seed all
 policies see the same observation mask by default, which pairs the
 comparison; ``paired=False`` gives each policy its own mask substream.
+
+``run_one`` walks the trace and mask in blocks of 65 536 requests and hands
+each block, with the checkpoints that fall inside it, to the policy's
+``run_block`` kernel; no per-request call is made from here.
 """
 
 from __future__ import annotations
@@ -105,31 +109,38 @@ def run_one(
         **policy_hooks,
     )
 
-    step = policy.step
+    run_block = policy.run_block
     misses = 0
     series = []
-    cp_iter = iter(checkpoints)
-    next_cp = next(cp_iter)
+    checkpoints = tuple(checkpoints)
+    cp = 0
     started = time.perf_counter()
     # trace and mask are walked in blocks so working state stays O(N + C)
     block = 65_536
     for start in range(0, horizon, block):
-        requests = trace.requests[start : start + block].tolist()
-        observed = mask.bits[start : start + block].tolist()
-        t = start
-        for f, obs in zip(requests, observed):
-            t += 1
-            if not step(t, f, obs).hit:
-                misses += 1
-            if t == next_cp:
-                series.append(misses / t)
-                next_cp = next(cp_iter, 0)
+        end = min(start + block, horizon)
+        # checkpoints are taken in order, each when request number t reaches
+        # it; one that is not ahead of the previous stop is never reached
+        first = cp
+        prev = start
+        while cp < len(checkpoints) and prev < checkpoints[cp] <= end:
+            prev = checkpoints[cp]
+            cp += 1
+        stops = checkpoints[first:cp]
+        block_misses, at_stops = run_block(
+            start,
+            trace.requests[start:end].tolist(),
+            mask.bits[start:end].tolist(),
+            stops,
+        )
+        series.extend((misses + m) / t for m, t in zip(at_stops, stops))
+        misses += block_misses
     wall = time.perf_counter() - started
 
     return RunResult(
         policy=spec.name,
         seed=seed,
-        checkpoints=tuple(checkpoints),
+        checkpoints=checkpoints,
         miss_series=tuple(series),
         total_misses=misses,
         opt_misses=opt_misses,

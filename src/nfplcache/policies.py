@@ -10,13 +10,17 @@ three noise couplings share that skeleton:
 * ``static``  - gamma stays at its initial draw; the top-C view is
   maintained incrementally through a heap.
 * ``dynamic`` - gamma is redrawn i.i.d. at every refresh; the top-C is
-  recomputed by a full sort.
+  recomputed in full (:func:`~nfplcache.topk.top_c_indices`).
 * ``lazy``    - gamma is the unique value in [0, eta) that keeps
   ``counts + gamma`` on the grid ``gamma0 + eta * Z``; the perturbed
   count of a file moves only when its count crosses a grid line, so
   most refreshes touch nothing.
 
 Every argmax breaks ties toward the lower file id.
+
+Each policy has one simulation loop, ``_kernel``, reached through
+``run_block`` (a block of requests, with checkpoint stops; what the engine
+calls) or ``step`` (a single request, returning a :class:`PolicyStep`).
 """
 
 from __future__ import annotations
@@ -24,19 +28,19 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import replace
-from heapq import heapify, heappop, heappush
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import Catalog, PolicyConfig, RngStream
-from .topk import TopCTracker
+from .topk import TopCTracker, top_c_indices
 
 POLICY_NAMES = ("s-nfpl", "d-nfpl", "l-nfpl", "nfpl", "fpl", "lfu", "lru")
 
 
 class PolicyStep(NamedTuple):
-    """Outcome of feeding one request to a policy."""
+    """Outcome of feeding one request to a policy through ``step()``."""
 
     request: int
     observed: bool
@@ -44,7 +48,46 @@ class PolicyStep(NamedTuple):
     cache_after: object  # live view of the cache; copy before mutating anything
 
 
-class NfplPolicy:
+class _BlockPolicy:
+    """The simulation entry points shared by every policy.
+
+    A policy implements ``_kernel(t, end, pairs) -> misses``: one loop over
+    requests t+1 .. end, read as (file id, observed) pairs, with its state
+    bound to locals; it scores each request against the cache it finds and
+    then updates. The two public entry points only cut the input around it.
+    """
+
+    def run_block(self, t0: int, requests, observed, stops=()):
+        """Simulate requests ``t0+1 .. t0+len(requests)``.
+
+        ``requests`` and ``observed`` are sequences of file ids and
+        observation bits; ``stops`` are ascending request numbers inside
+        the block. Returns the block's misses and, for each stop, the
+        block's misses up to and including that request.
+        """
+        kernel = self._kernel
+        pairs = zip(requests, observed)
+        end = t0 + len(requests)
+        if not stops:
+            return kernel(t0, end, pairs), []
+        misses = 0
+        at_stops = []
+        t = t0
+        for stop in stops:
+            misses += kernel(t, stop, islice(pairs, stop - t))
+            at_stops.append(misses)
+            t = stop
+        if t < end:
+            misses += kernel(t, end, pairs)
+        return misses, at_stops
+
+    def step(self, t: int, request: int, observed: bool) -> PolicyStep:
+        """Feed the single request number ``t``; a one-request block."""
+        misses, _ = self.run_block(t - 1, (request,), (observed,))
+        return PolicyStep(request, observed, misses == 0, self.cache)
+
+
+class NfplPolicy(_BlockPolicy):
     """Noisy perturbed-leader caching over a fixed horizon.
 
     ``gamma0`` and ``beta`` are test hooks that bypass the stream draws:
@@ -111,108 +154,168 @@ class NfplPolicy:
         elif config.sample_prob >= 1.0:
             self._always_sample = True
 
-        self.counts = np.zeros(n, dtype=np.int64)
-        self.gamma = gamma0.copy()
+        # Counts and noise are plain lists for the kernel; the ``counts``
+        # and ``gamma`` properties give numpy copies.
+        self._counts = [0] * n
+        self._gamma = gamma0.tolist()
+        self._grid = self._gamma[:] if self._mode == "lazy" else None
         self.flag = False
         self.cache_refreshes = 0
         self.sampled_steps = 0
         self.score_changes = 0
         self._t = 0
-        self._dirty: set[int] = set()
-        self._pending: list[tuple[int, int]] = []
+        self._dirty: set[int] = set()  # lazy: files counted since the last refresh
+        self._pending: list[tuple[int, int]] = []  # (evicted, admitted) not yet applied
+        self._unsynced: list[int] = []  # dynamic: counted ids not yet in _counts_np
 
         if self._mode == "dynamic":
             self.tracker = None
-            order = np.argsort(-gamma0, kind="stable")[: config.cache_capacity]
-            self.cache = set(order.tolist())
+            # int64 mirror of the counts for the refresh's vector sum
+            self._counts_np = np.zeros(n, dtype=np.int64)
+            self.cache = set(top_c_indices(gamma0, config.cache_capacity).tolist())
         else:
-            self.tracker = TopCTracker(gamma0.tolist(), config.cache_capacity)
+            self.tracker = TopCTracker(self._gamma, config.cache_capacity)
             self.cache = self.tracker.members()
 
-    def _beta_at(self, t: int) -> bool:
-        if self._always_sample:
-            return True
-        if self._beta_override is not None:
-            return self._beta_override[t - 1]
-        cfg = self.config
-        if cfg.sampling == "fixed":
-            # exactly b of each batch's positions, uniform without
-            # replacement (a trailing partial batch is truncated)
-            batch_idx = (t - 1) // cfg.batch_size
-            if batch_idx != self._drawn_batch:
-                bits = [False] * cfg.batch_size
-                for pos in self._beta_rng.permutation(cfg.batch_size)[: cfg.fixed_per_batch]:
-                    bits[pos] = True
-                self._batch_bits = bits
-                self._drawn_batch = batch_idx
-            return self._batch_bits[(t - 1) % cfg.batch_size]
-        if self._beta_pos >= len(self._beta_buf):
-            self._beta_buf = self._beta_rng.bernoulli(cfg.sample_prob, 8192).tolist()
-            self._beta_pos = 0
-        bit = self._beta_buf[self._beta_pos]
-        self._beta_pos += 1
-        return bit
+    @property
+    def counts(self) -> np.ndarray:
+        return np.array(self._counts, dtype=np.int64)
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return np.array(self._gamma, dtype=float)
 
     @property
     def heap_ops(self) -> int:
         return self.tracker.op_counter if self.tracker is not None else 0
 
-    def step(self, t: int, request: int, observed: bool) -> PolicyStep:
-        if t != self._t + 1:
-            raise ValueError(f"steps must arrive in order: expected t={self._t + 1}, got {t}")
-        if t > self.horizon:
-            raise ValueError(f"t={t} beyond horizon {self.horizon}")
+    def _fixed_bit(self, t: int) -> bool:
+        # exactly b of each batch's positions, uniform without replacement
+        # (a trailing partial batch is truncated); drawn when the batch
+        # first needs a bit
+        cfg = self.config
+        batch_idx = (t - 1) // cfg.batch_size
+        if batch_idx != self._drawn_batch:
+            bits = [False] * cfg.batch_size
+            for pos in self._beta_rng.permutation(cfg.batch_size)[: cfg.fixed_per_batch]:
+                bits[pos] = True
+            self._batch_bits = bits
+            self._drawn_batch = batch_idx
+        return self._batch_bits[(t - 1) % cfg.batch_size]
+
+    def _redraw(self) -> set[int]:
+        """Dynamic refresh: fresh noise, then the top C of counts + noise."""
+        gamma = self._rng.uniform(0.0, self.eta, self.n_files)
+        self._gamma = gamma
+        np.add.at(self._counts_np, self._unsynced, 1)
+        self._unsynced.clear()
+        top = top_c_indices(self._counts_np + gamma, self.config.cache_capacity)
+        return set(top.tolist())
+
+    def _kernel(self, t: int, end: int, pairs) -> int:
+        if t != self._t:
+            raise ValueError(
+                f"steps must arrive in order: expected t={self._t + 1}, got {t + 1}"
+            )
+        if end > self.horizon:
+            raise ValueError(f"t={end} beyond horizon {self.horizon}")
+        cache = self.cache
+        counts = self._counts
+        static = self._mode == "static"
+        lazy = self._mode == "lazy"
+        tracker = self.tracker
+        bump = tracker.bump if tracker is not None else None
+        scores = tracker.scores if tracker is not None else None
+        unsynced = self._unsynced
+        pending = self._pending
+        dirty = self._dirty
+        gamma = self._gamma
+        grid = self._grid
+        eta = self.eta
+        ceil = math.ceil
+        every = self._ignore_mask
+        always = self._always_sample
+        override = self._beta_override
+        bernoulli = not always and override is None and self.config.sampling == "bernoulli"
+        q = self.config.sample_prob
+        buf = self._beta_buf
+        pos = self._beta_pos
+        size = len(buf)
+        batch = self._batch
+        boundary = (t // batch + 1) * batch
+        flag = self.flag
+        misses = sampled = changes = refreshes = 0
+
+        for f, obs in pairs:
+            t += 1
+            if f not in cache:
+                misses += 1
+            if obs or every:
+                if always:
+                    bit = True
+                elif bernoulli:
+                    if pos == size:
+                        buf = self._beta_rng.bernoulli(q, 8192).tolist()
+                        size = len(buf)
+                        pos = 0
+                    bit = buf[pos]
+                    pos += 1
+                elif override is not None:
+                    bit = override[t - 1]
+                else:
+                    bit = self._fixed_bit(t)
+                if bit:
+                    counts[f] += 1
+                    sampled += 1
+                    flag = True
+                    if static:
+                        swap = bump(f, scores[f] + 1.0)
+                        changes += 1
+                        if swap[0] is not None:
+                            pending.append(swap)
+                    elif lazy:
+                        dirty.add(f)
+                    else:
+                        unsynced.append(f)
+            if t == boundary:
+                boundary += batch
+                if flag:
+                    flag = False
+                    refreshes += 1
+                    if lazy:
+                        # move each touched file back onto its grid
+                        # gamma0 + eta * Z; the score rises only when the
+                        # count crossed a grid line
+                        for g in dirty:
+                            g0 = grid[g]
+                            c = counts[g]
+                            new_score = g0 + eta * ceil((c - g0) / eta)
+                            if new_score > scores[g]:
+                                changes += 1
+                                swap = bump(g, new_score)
+                                if swap[0] is not None:
+                                    pending.append(swap)
+                            gamma[g] = new_score - c
+                        dirty.clear()
+                    elif not static:
+                        cache = self.cache = self._redraw()
+                    if pending:
+                        for evicted, admitted in pending:
+                            cache.discard(evicted)
+                            cache.add(admitted)
+                        pending.clear()
+
         self._t = t
-        hit = request in self.cache
-        if (observed or self._ignore_mask) and self._beta_at(t):
-            self.counts[request] += 1
-            self.sampled_steps += 1
-            self.flag = True
-            if self._mode == "static":
-                swap = self.tracker.bump(request, self.tracker.scores[request] + 1.0)
-                self.score_changes += 1
-                if swap[0] is not None:
-                    self._pending.append(swap)
-            elif self._mode == "lazy":
-                self._dirty.add(request)
-        if self.flag and t % self._batch == 0:
-            self._refresh()
-            self.flag = False
-            self.cache_refreshes += 1
-        return PolicyStep(request, observed, hit, self.cache)
-
-    def _refresh(self) -> None:
-        if self._mode == "dynamic":
-            gamma = self._rng.uniform(0.0, self.eta, self.n_files)
-            self.gamma = gamma
-            perturbed = self.counts + gamma
-            order = np.argsort(-perturbed, kind="stable")[: self.config.cache_capacity]
-            self.cache = set(order.tolist())
-            return
-        if self._mode == "lazy":
-            eta = self.eta
-            tracker = self.tracker
-            for f in self._dirty:
-                g0 = self.gamma0[f]
-                c = int(self.counts[f])
-                new_score = g0 + eta * math.ceil((c - g0) / eta)
-                if new_score > tracker.scores[f]:
-                    self.score_changes += 1
-                    swap = tracker.bump(f, new_score)
-                    if swap[0] is not None:
-                        self._pending.append(swap)
-                self.gamma[f] = new_score - c
-            self._dirty.clear()
-        # static and lazy: fold membership changes into the decision set
-        if self._pending:
-            cache = self.cache
-            for evicted, admitted in self._pending:
-                cache.discard(evicted)
-                cache.add(admitted)
-            self._pending.clear()
+        self.flag = flag
+        self._beta_buf = buf
+        self._beta_pos = pos
+        self.sampled_steps += sampled
+        self.score_changes += changes
+        self.cache_refreshes += refreshes
+        return misses
 
 
-class LfuPolicy:
+class LfuPolicy(_BlockPolicy):
     """Evict-least-frequent under partial observation.
 
     Counts use observed requests only. On an observed miss the requested
@@ -221,9 +324,12 @@ class LfuPolicy:
     when the candidate's count strictly exceeds the smallest cached
     count, which protects established files on churning traces. Starts
     with files 0..C-1 cached.
+
+    The cached files and their counts sit in a :class:`TopCTracker`, whose
+    root is the next victim, so the heap holds exactly C entries.
     """
 
-    heap_ops = 0
+    heap_ops = 0  # the tracker's heap work is not reported yet
     cache_refreshes = 0
     score_changes = 0
 
@@ -239,40 +345,35 @@ class LfuPolicy:
         self.cache = set(range(cache_capacity))
         self.admission_threshold = admission_threshold
         self.sampled_steps = 0
-        # entries (count, -id, id); stale entries are skipped lazily
-        self._heap = [(0, -f, f) for f in range(cache_capacity)]
-        heapify(self._heap)
+        self._tracker = TopCTracker([0] * catalog.n_files, cache_capacity)
 
-    def _least_frequent(self) -> tuple[int, int]:
-        heap = self._heap
+    def _kernel(self, t: int, end: int, pairs) -> int:
+        cache = self.cache
         counts = self.counts
-        cache = self.cache
-        while True:
-            cnt, _, f = heap[0]
-            if f in cache and counts[f] == cnt:
-                return cnt, f
-            heappop(heap)
-
-    def step(self, t: int, request: int, observed: bool) -> PolicyStep:
-        cache = self.cache
-        hit = request in cache
-        if observed:
-            self.sampled_steps += 1
-            c = self.counts[request] + 1
-            self.counts[request] = c
-            if hit:
-                heappush(self._heap, (c, -request, request))
-            else:
-                min_count, victim = self._least_frequent()
-                if not self.admission_threshold or c > min_count:
-                    heappop(self._heap)
-                    cache.remove(victim)
-                    cache.add(request)
-                    heappush(self._heap, (c, -request, request))
-        return PolicyStep(request, observed, hit, cache)
+        tracker = self._tracker
+        bump = tracker.bump
+        replace_min = tracker.replace_min
+        scores = tracker.scores
+        threshold = self.admission_threshold
+        misses = sampled = 0
+        for f, obs in pairs:
+            hit = f in cache
+            if not hit:
+                misses += 1
+            if obs:
+                sampled += 1
+                c = counts[f] + 1
+                counts[f] = c
+                if hit:
+                    bump(f, c)
+                elif not threshold or c > scores[tracker.min_member()]:
+                    cache.remove(replace_min(f, c))
+                    cache.add(f)
+        self.sampled_steps += sampled
+        return misses
 
 
-class LruPolicy:
+class LruPolicy(_BlockPolicy):
     """Evict-least-recently-used; recency moves on observed requests only."""
 
     heap_ops = 0
@@ -289,17 +390,24 @@ class LruPolicy:
     def cache(self):
         return self._recency.keys()
 
-    def step(self, t: int, request: int, observed: bool) -> PolicyStep:
+    def _kernel(self, t: int, end: int, pairs) -> int:
         recency = self._recency
-        hit = request in recency
-        if observed:
-            self.sampled_steps += 1
-            if hit:
-                recency.move_to_end(request)
-            else:
-                recency.popitem(last=False)
-                recency[request] = None
-        return PolicyStep(request, observed, hit, recency.keys())
+        to_front = recency.move_to_end
+        pop_oldest = recency.popitem
+        misses = sampled = 0
+        for f, obs in pairs:
+            hit = f in recency
+            if not hit:
+                misses += 1
+            if obs:
+                sampled += 1
+                if hit:
+                    to_front(f)
+                else:
+                    pop_oldest(False)
+                    recency[f] = None
+        self.sampled_steps += sampled
+        return misses
 
 
 def make_policy(

@@ -6,11 +6,35 @@ that would be displaced first. Scores only ever increase in this system,
 which reduces every update to an increase-key or a replace-root, both
 O(log C). ``op_counter`` tallies heap work (one per swap, plus one per
 insert/delete event) so callers can measure amortized cost.
+
+:func:`top_c_indices` is the one-shot counterpart for a score vector
+that is redrawn wholesale, as dynamic noise does at every refresh.
 """
 
 from __future__ import annotations
 
 import heapq
+
+import numpy as np
+
+
+def top_c_indices(values: np.ndarray, c: int) -> np.ndarray:
+    """Ids of the first ``c`` entries under (value desc, id asc).
+
+    The same set as ``np.argsort(-values, kind="stable")[:c]`` without the
+    full sort: a partition finds the c-th largest value, and only the
+    candidates at or above it are ordered, by (-value, id), when ties at
+    that value leave more than c of them.
+    """
+    n = len(values)
+    if c >= n:
+        return np.arange(n)
+    kth = np.partition(values, n - c)[n - c]
+    candidates = np.flatnonzero(values >= kth)
+    if len(candidates) > c:
+        order = np.lexsort((candidates, -values[candidates]))
+        candidates = candidates[order[:c]]
+    return candidates
 
 
 class TopCTracker:
@@ -48,32 +72,38 @@ class TopCTracker:
     def min_member(self) -> int:
         return self._heap[0]
 
-    def _before(self, a: int, b: int) -> bool:
-        # a precedes b in the min-heap iff a is the weaker member.
-        sa = self.scores[a]
-        sb = self.scores[b]
-        return sa < sb or (sa == sb and a > b)
-
     def _sift_down(self, i: int) -> None:
+        # Moves heap[i] down past every child weaker than it under
+        # (score asc, id desc); one op per level it descends.
         heap = self._heap
         pos = self._pos
+        scores = self.scores
         size = len(heap)
+        f = heap[i]
+        sf = scores[f]
+        moved = 0
         while True:
-            left = 2 * i + 1
-            if left >= size:
-                return
-            child = left
-            right = left + 1
-            if right < size and self._before(heap[right], heap[left]):
-                child = right
-            if self._before(heap[child], heap[i]):
-                heap[i], heap[child] = heap[child], heap[i]
-                pos[heap[i]] = i
-                pos[heap[child]] = child
-                self.op_counter += 1
+            child = 2 * i + 1
+            if child >= size:
+                break
+            c = heap[child]
+            sc = scores[c]
+            right = child + 1
+            if right < size:
+                r = heap[right]
+                sr = scores[r]
+                if sr < sc or (sr == sc and r > c):
+                    child, c, sc = right, r, sr
+            if sc < sf or (sc == sf and c > f):
+                heap[i] = c
+                pos[c] = i
                 i = child
+                moved += 1
             else:
-                return
+                break
+        heap[i] = f
+        pos[f] = i
+        self.op_counter += moved
 
     def bump(self, file_id: int, new_score: float):
         """Raise a file's score; returns (evicted, admitted) file ids.
@@ -107,3 +137,20 @@ class TopCTracker:
             self._sift_down(0)
             return (root, file_id)
         return (None, None)
+
+    def replace_min(self, file_id: int, new_score: float) -> int:
+        """Put a non-member in the weakest member's place; returns the evicted id.
+
+        Unlike :meth:`bump` the swap is unconditional: the caller decides
+        admission (LFU admits every observed miss).
+        """
+        if self._pos[file_id] >= 0:
+            raise ValueError(f"file {file_id} is already a member")
+        root = self._heap[0]
+        self._pos[root] = -1
+        self.scores[file_id] = new_score
+        self._heap[0] = file_id
+        self._pos[file_id] = 0
+        self.op_counter += 2
+        self._sift_down(0)
+        return root

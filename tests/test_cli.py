@@ -191,6 +191,14 @@ def test_parallel_env_override(tmp_path, monkeypatch):
     assert (out / "summary.json").exists()
 
 
+def test_parallel_env_override_must_be_an_integer(tmp_path, monkeypatch):
+    monkeypatch.setenv("NFPL_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--gen-kind", "zipf", "--n", "30", "--t", "600",
+                 "--policies", "lfu", "--c", "3", "--out", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+
+
 def test_plot_script_emission(tmp_path):
     out = tmp_path / "plot"
     run_cli(["run", "--gen-kind", "zipf", "--n", "20", "--t", "300",

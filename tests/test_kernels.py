@@ -1,0 +1,324 @@
+"""Block kernels against the per-request reference they replaced.
+
+The ``Ref*`` classes below are the per-request ``step()`` logic that the
+policies ran before ``run_block`` existed, kept verbatim apart from
+naming as the oracle: same draws from the same streams, same counters,
+same tie-breaks. Every policy must agree with them on random traces cut
+into random blocks, with random checkpoint stops.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import OrderedDict
+from dataclasses import replace
+from heapq import heapify, heappop, heappush
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from nfplcache.core import Catalog, PolicyConfig, spawn_stream
+from nfplcache.policies import LfuPolicy, make_policy
+from nfplcache.topk import TopCTracker
+from nfplcache.traces import gen_zipf
+
+# ----------------------------------------------------------------- reference
+
+
+class RefNfpl:
+    def __init__(self, config, catalog, horizon, rng, ignore_mask=False):
+        n = catalog.n_files
+        self.config = config
+        self.n_files = n
+        self.eta = config.eta
+        self._rng = rng
+        self._ignore_mask = ignore_mask
+        self._batch = config.batch_size
+        self._mode = config.noise_mode
+        gamma0 = rng.uniform(0.0, self.eta, n)
+        self.gamma0 = gamma0
+        self._beta_rng = rng.substream(1)
+        self._always_sample = False
+        self._beta_buf = []
+        self._beta_pos = 0
+        self._batch_bits = []
+        self._drawn_batch = -1
+        if config.sampling == "fixed":
+            if config.fixed_per_batch == config.batch_size:
+                self._always_sample = True
+        elif config.sample_prob >= 1.0:
+            self._always_sample = True
+        self.counts = np.zeros(n, dtype=np.int64)
+        self.gamma = gamma0.copy()
+        self.flag = False
+        self.cache_refreshes = 0
+        self.sampled_steps = 0
+        self.score_changes = 0
+        self._dirty = set()
+        self._pending = []
+        if self._mode == "dynamic":
+            self.tracker = None
+            order = np.argsort(-gamma0, kind="stable")[: config.cache_capacity]
+            self.cache = set(order.tolist())
+        else:
+            self.tracker = TopCTracker(gamma0.tolist(), config.cache_capacity)
+            self.cache = self.tracker.members()
+
+    @property
+    def heap_ops(self):
+        return self.tracker.op_counter if self.tracker is not None else 0
+
+    def _beta_at(self, t):
+        if self._always_sample:
+            return True
+        cfg = self.config
+        if cfg.sampling == "fixed":
+            batch_idx = (t - 1) // cfg.batch_size
+            if batch_idx != self._drawn_batch:
+                bits = [False] * cfg.batch_size
+                for pos in self._beta_rng.permutation(cfg.batch_size)[: cfg.fixed_per_batch]:
+                    bits[pos] = True
+                self._batch_bits = bits
+                self._drawn_batch = batch_idx
+            return self._batch_bits[(t - 1) % cfg.batch_size]
+        if self._beta_pos >= len(self._beta_buf):
+            self._beta_buf = self._beta_rng.bernoulli(cfg.sample_prob, 8192).tolist()
+            self._beta_pos = 0
+        bit = self._beta_buf[self._beta_pos]
+        self._beta_pos += 1
+        return bit
+
+    def step(self, t, request, observed):
+        hit = request in self.cache
+        if (observed or self._ignore_mask) and self._beta_at(t):
+            self.counts[request] += 1
+            self.sampled_steps += 1
+            self.flag = True
+            if self._mode == "static":
+                swap = self.tracker.bump(request, self.tracker.scores[request] + 1.0)
+                self.score_changes += 1
+                if swap[0] is not None:
+                    self._pending.append(swap)
+            elif self._mode == "lazy":
+                self._dirty.add(request)
+        if self.flag and t % self._batch == 0:
+            self._refresh()
+            self.flag = False
+            self.cache_refreshes += 1
+        return hit
+
+    def _refresh(self):
+        if self._mode == "dynamic":
+            gamma = self._rng.uniform(0.0, self.eta, self.n_files)
+            self.gamma = gamma
+            perturbed = self.counts + gamma
+            order = np.argsort(-perturbed, kind="stable")[: self.config.cache_capacity]
+            self.cache = set(order.tolist())
+            return
+        if self._mode == "lazy":
+            eta = self.eta
+            tracker = self.tracker
+            for f in self._dirty:
+                g0 = self.gamma0[f]
+                c = int(self.counts[f])
+                new_score = g0 + eta * math.ceil((c - g0) / eta)
+                if new_score > tracker.scores[f]:
+                    self.score_changes += 1
+                    swap = tracker.bump(f, new_score)
+                    if swap[0] is not None:
+                        self._pending.append(swap)
+                self.gamma[f] = new_score - c
+            self._dirty.clear()
+        if self._pending:
+            for evicted, admitted in self._pending:
+                self.cache.discard(evicted)
+                self.cache.add(admitted)
+            self._pending.clear()
+
+
+class RefLfu:
+    heap_ops = cache_refreshes = score_changes = 0
+
+    def __init__(self, cache_capacity, catalog, admission_threshold=False):
+        self.counts = [0] * catalog.n_files
+        self.cache = set(range(cache_capacity))
+        self.admission_threshold = admission_threshold
+        self.sampled_steps = 0
+        self._heap = [(0, -f, f) for f in range(cache_capacity)]
+        heapify(self._heap)
+
+    def _least_frequent(self):
+        heap = self._heap
+        while True:
+            cnt, _, f = heap[0]
+            if f in self.cache and self.counts[f] == cnt:
+                return cnt, f
+            heappop(heap)
+
+    def step(self, t, request, observed):
+        hit = request in self.cache
+        if observed:
+            self.sampled_steps += 1
+            c = self.counts[request] + 1
+            self.counts[request] = c
+            if hit:
+                heappush(self._heap, (c, -request, request))
+            else:
+                min_count, victim = self._least_frequent()
+                if not self.admission_threshold or c > min_count:
+                    heappop(self._heap)
+                    self.cache.remove(victim)
+                    self.cache.add(request)
+                    heappush(self._heap, (c, -request, request))
+        return hit
+
+
+class RefLru:
+    heap_ops = cache_refreshes = score_changes = 0
+
+    def __init__(self, cache_capacity, catalog):
+        self._recency = OrderedDict((f, None) for f in range(cache_capacity))
+        self.sampled_steps = 0
+
+    @property
+    def cache(self):
+        return self._recency.keys()
+
+    def step(self, t, request, observed):
+        hit = request in self._recency
+        if observed:
+            self.sampled_steps += 1
+            if hit:
+                self._recency.move_to_end(request)
+            else:
+                self._recency.popitem(last=False)
+                self._recency[request] = None
+        return hit
+
+
+def make_reference(name, config, catalog, horizon, rng):
+    if name == "lfu":
+        return RefLfu(config.cache_capacity, catalog)
+    if name == "lfu-threshold":
+        return RefLfu(config.cache_capacity, catalog, admission_threshold=True)
+    if name == "lru":
+        return RefLru(config.cache_capacity, catalog)
+    if name == "nfpl":
+        return RefNfpl(config, catalog, horizon, rng)
+    if name == "fpl":
+        return RefNfpl(replace(config, noise_mode="static"), catalog, horizon, rng,
+                       ignore_mask=True)
+    mode = {"s-nfpl": "static", "d-nfpl": "dynamic", "l-nfpl": "lazy"}[name]
+    return RefNfpl(replace(config, noise_mode=mode), catalog, horizon, rng)
+
+
+def make_subject(name, config, catalog, horizon, rng):
+    if name == "lfu-threshold":
+        return LfuPolicy(config.cache_capacity, catalog, admission_threshold=True)
+    return make_policy(name, config, catalog, horizon, rng)
+
+
+def state(policy) -> tuple:
+    counts = getattr(policy, "counts", [])  # LRU keeps none
+    return (
+        set(policy.cache),
+        policy.heap_ops,
+        policy.cache_refreshes,
+        policy.sampled_steps,
+        policy.score_changes,
+        list(counts) if isinstance(counts, list) else counts.tolist(),
+    )
+
+
+# ---------------------------------------------------------------- properties
+
+NAMES = ("s-nfpl", "l-nfpl", "d-nfpl", "fpl", "nfpl", "lfu", "lru", "lfu-threshold")
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(2, 25))
+    c = draw(st.integers(1, n - 1))
+    horizon = draw(st.integers(1, 400))
+    batch = draw(st.integers(1, 6))
+    sampling = draw(st.sampled_from(("bernoulli", "fixed")))
+    kw = {}
+    if sampling == "fixed":
+        kw["fixed_per_batch"] = draw(st.integers(1, batch))
+    else:
+        kw["sample_prob"] = draw(st.sampled_from((0.3, 0.7, 1.0)))
+    config = PolicyConfig(
+        cache_capacity=c,
+        batch_size=batch,
+        observe_prob=draw(st.sampled_from((0.5, 1.0))),
+        eta=draw(st.sampled_from((0.5, 1.0, 3.0, 7.5))),
+        noise_mode=draw(st.sampled_from(("static", "dynamic", "lazy"))),
+        sampling=sampling,
+        **kw,
+    )
+    # small alphabets and a skewed trace make ties in counts and noise common
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    requests = (rng.zipf(1.3, horizon) % n).tolist()
+    observed = (rng.random(horizon) < config.observe_prob).tolist()
+    cuts = sorted(set(draw(st.lists(st.integers(1, horizon), max_size=8))) - {horizon})
+    stops = sorted(set(draw(st.lists(st.integers(1, horizon), max_size=10))))
+    return n, config, requests, observed, [0, *cuts, horizon], stops
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(NAMES), scenario=scenarios(), seed=st.integers(0, 10**6))
+def test_run_block_matches_per_request_reference(name, scenario, seed):
+    n, config, requests, observed, bounds, stops = scenario
+    catalog = Catalog(n)
+    horizon = len(requests)
+    ref = make_reference(name, config, catalog, horizon, spawn_stream(seed, 1))
+    pol = make_subject(name, config, catalog, horizon, spawn_stream(seed, 1))
+
+    ref_misses = []  # cumulative misses after each request
+    ref_states = {}
+    total = 0
+    for t, (f, obs) in enumerate(zip(requests, observed), start=1):
+        total += not ref.step(t, f, obs)
+        ref_misses.append(total)
+        if t in bounds:
+            ref_states[t] = state(ref)
+
+    total = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        inside = [s for s in stops if lo < s <= hi]
+        misses, at_stops = pol.run_block(lo, requests[lo:hi], observed[lo:hi], inside)
+        assert [total + m for m in at_stops] == [ref_misses[s - 1] for s in inside]
+        total += misses
+        assert total == ref_misses[hi - 1]
+        assert state(pol) == ref_states[hi]
+        assert len(pol.cache) == config.cache_capacity
+
+
+def test_lfu_heap_stays_at_capacity_over_a_long_trace():
+    n, c, t = 120, 100, 1_000_000
+    trace = gen_zipf(Catalog(n), t, 1.0, spawn_stream(0, 2))
+    observed = spawn_stream(0, 0).bernoulli(0.5, t).tolist()
+    pol = LfuPolicy(c, Catalog(n))
+    pol.run_block(0, trace.requests.tolist(), observed)
+    assert len(pol._tracker._heap) == c
+    assert pol._tracker.members() == pol.cache
+
+
+def test_sampling_bits_refill_across_chunks():
+    # Bernoulli bits come in chunks of 8192; cross several chunk edges
+    # with block edges that do not line up with them
+    n, horizon = 40, 30_000
+    config = PolicyConfig(cache_capacity=5, batch_size=3, sample_prob=0.4, eta=4.0,
+                          noise_mode="lazy")
+    trace = gen_zipf(Catalog(n), horizon, 1.0, spawn_stream(1, 2)).requests.tolist()
+    observed = spawn_stream(1, 0).bernoulli(0.8, horizon).tolist()
+    ref = make_reference("l-nfpl", config, Catalog(n), horizon, spawn_stream(1, 1))
+    pol = make_policy("l-nfpl", config, Catalog(n), horizon, spawn_stream(1, 1))
+    want = sum(not ref.step(t, f, obs) for t, (f, obs) in enumerate(zip(trace, observed), 1))
+    got = 0
+    bounds = [0, 7_001, 12_345, 25_000, horizon]
+    for lo, hi in zip(bounds, bounds[1:]):
+        got += pol.run_block(lo, trace[lo:hi], observed[lo:hi])[0]
+    assert got == want
+    assert state(pol) == state(ref)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfplcache.oracle import top_c_reference
-from nfplcache.topk import TopCTracker
+from nfplcache.topk import TopCTracker, top_c_indices
 
 
 def test_build_plain_top2():
@@ -108,3 +110,22 @@ def test_full_capacity_tracker_has_no_outsiders():
     assert tracker.members() == {0, 1, 2}
     tracker.bump(1, 9.0)
     assert tracker.members() == {0, 1, 2}
+
+
+def test_replace_min_swaps_out_the_weakest_member():
+    tracker = TopCTracker([4, 2, 2, 0], 3)
+    assert tracker.members() == {0, 1, 2}
+    assert tracker.replace_min(3, 1) == 2  # weakest: score 2, higher id
+    assert tracker.members() == {0, 1, 3}
+    assert tracker.min_member() == 3
+    with pytest.raises(ValueError):
+        tracker.replace_min(0, 9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.integers(0, 4), min_size=1, max_size=60), data=st.data())
+def test_top_c_indices_matches_stable_argsort_on_ties(values, data):
+    c = data.draw(st.integers(1, len(values)))
+    arr = np.array(values, dtype=float)  # five distinct values: ties everywhere
+    want = np.argsort(-arr, kind="stable")[:c]
+    assert set(top_c_indices(arr, c).tolist()) == set(want.tolist())
