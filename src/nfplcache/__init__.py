@@ -11,7 +11,7 @@ from .core import (
     spawn_stream,
 )
 from .engine import PolicySpec, TraceSpec, make_trace, run_experiment, run_one
-from .metrics import AggregateResult, RunResult, aggregate, empirical_regret
+from .metrics import AggregateResult, RunResult, aggregate
 from .oracle import (
     BoundParams,
     minimized_regret_bound,
@@ -57,7 +57,6 @@ __all__ = [
     "aggregate",
     "bpo_mask",
     "default_eta",
-    "empirical_regret",
     "gen_round_robin",
     "gen_zipf",
     "gen_zipf_rr",

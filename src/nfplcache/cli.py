@@ -26,7 +26,7 @@ from .policies import POLICY_NAMES
 from .traces import save_trace
 
 GEN_KINDS = ("zipf", "zipf-rr", "round-robin")
-NFPL_FAMILY = ("s-nfpl", "d-nfpl", "l-nfpl", "nfpl", "fpl")
+NFPL_FAMILY = ("s-nfpl", "d-nfpl", "l-nfpl", "fpl")
 
 
 def _parse_policies(value: str) -> list[str]:
@@ -171,7 +171,6 @@ def _base_config(args, horizon: int) -> PolicyConfig:
         eta=eta,
         sampling=sampling,
         fixed_per_batch=getattr(args, "fixed_b", None) if sampling == "fixed" else None,
-        seed=args.seed,
     )
 
 
@@ -245,6 +244,8 @@ def cmd_gen(args, parser) -> int:
 
 
 def cmd_run(args, parser) -> int:
+    if args.checkpoints < 1:
+        parser.error("--checkpoints must be positive")
     parallelism = _resolve_parallelism(args.parallel, parser)
     trace_spec, trace = _resolve_trace(args, parser)
     horizon = len(trace)

@@ -88,7 +88,6 @@ class PolicyConfig:
     noise_mode: str = "static"
     sampling: str = "bernoulli"
     fixed_per_batch: int | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.cache_capacity < 1:

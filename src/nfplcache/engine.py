@@ -6,9 +6,10 @@ so the output is identical at any parallelism level. Within one seed all
 policies see the same observation mask by default, which pairs the
 comparison; ``paired=False`` gives each policy its own mask substream.
 
-``run_one`` walks the trace and mask in blocks of 65 536 requests and hands
-each block, with the checkpoints that fall inside it, to the policy's
-``run_block`` kernel; no per-request call is made from here.
+``run_one`` owns the checkpoints: it cuts the trace and mask at every
+checkpoint and every 65 536 requests, hands each segment to the policy's
+``run_block`` and reads the miss ratio where a segment ends on a
+checkpoint; no per-request call is made from here.
 """
 
 from __future__ import annotations
@@ -88,12 +89,13 @@ def run_one(
     mask: ObservationMask | None = None,
     checkpoints: tuple[int, ...] | None = None,
     opt_misses: int | None = None,
-    **policy_hooks,
 ) -> RunResult:
     """Simulate one policy over one trace with one seed.
 
     The observation mask comes from the seed's BPO stream unless given;
     policy randomness always comes from the seed's policy stream.
+    ``checkpoints`` must be strictly ascending request numbers in
+    ``[1, len(trace)]``; the miss series has one entry for each.
     """
     horizon = len(trace)
     if mask is None:
@@ -102,39 +104,30 @@ def run_one(
         raise ValueError("mask length must match the trace")
     if checkpoints is None:
         checkpoints = default_checkpoints(horizon)
+    checkpoints = tuple(checkpoints)
+    if not checkpoints or any(
+        not prev < t <= horizon for prev, t in zip((0, *checkpoints), checkpoints)
+    ):
+        raise ValueError(f"checkpoints must be strictly ascending within [1, {horizon}]")
     if opt_misses is None:
         _, opt_misses = opt_static(trace, spec.config.cache_capacity)
     policy = make_policy(
-        spec.name, spec.config, trace.catalog, horizon, spawn_stream(seed, STREAM_POLICY),
-        **policy_hooks,
+        spec.name, spec.config, trace.catalog, horizon, spawn_stream(seed, STREAM_POLICY)
     )
 
     run_block = policy.run_block
+    requests, bits = trace.requests, mask.bits
+    wanted = set(checkpoints)
     misses = 0
     series = []
-    checkpoints = tuple(checkpoints)
-    cp = 0
+    start = 0
     started = time.perf_counter()
-    # trace and mask are walked in blocks so working state stays O(N + C)
-    block = 65_536
-    for start in range(0, horizon, block):
-        end = min(start + block, horizon)
-        # checkpoints are taken in order, each when request number t reaches
-        # it; one that is not ahead of the previous stop is never reached
-        first = cp
-        prev = start
-        while cp < len(checkpoints) and prev < checkpoints[cp] <= end:
-            prev = checkpoints[cp]
-            cp += 1
-        stops = checkpoints[first:cp]
-        block_misses, at_stops = run_block(
-            start,
-            trace.requests[start:end].tolist(),
-            mask.bits[start:end].tolist(),
-            stops,
-        )
-        series.extend((misses + m) / t for m, t in zip(at_stops, stops))
-        misses += block_misses
+    # segments of at most 65 536 requests keep working state O(N + C)
+    for end in sorted({*range(65_536, horizon, 65_536), *checkpoints, horizon}):
+        misses += run_block(start, requests[start:end].tolist(), bits[start:end].tolist())
+        if end in wanted:
+            series.append(misses / end)
+        start = end
     wall = time.perf_counter() - started
 
     return RunResult(
@@ -171,17 +164,16 @@ def _run_seed(seed: int) -> list[RunResult]:
     checkpoints = ctx["checkpoints"] or default_checkpoints(len(trace))
     results = []
     try:
+        # paired: every policy shares the seed's mask; unpaired: each policy
+        # draws its own from a substream of the seed's BPO stream
+        bpo = spawn_stream(seed, STREAM_BPO)
+        shared = None
+        if ctx["paired"]:
+            shared = bpo_mask(len(trace), specs[0].config.observe_prob, bpo)
         for idx, spec in enumerate(specs):
-            if ctx["paired"]:
-                mask = bpo_mask(
-                    len(trace), spec.config.observe_prob, spawn_stream(seed, STREAM_BPO)
-                )
-            else:
-                mask = bpo_mask(
-                    len(trace),
-                    spec.config.observe_prob,
-                    spawn_stream(seed, STREAM_BPO).substream(idx),
-                )
+            mask = shared
+            if mask is None:
+                mask = bpo_mask(len(trace), spec.config.observe_prob, bpo.substream(idx))
             opt = ctx["opt_misses"].get(spec.config.cache_capacity)
             if opt is None:
                 _, opt = opt_static(trace, spec.config.cache_capacity)

@@ -18,8 +18,8 @@ def default_checkpoints(horizon: int, points: int = 200) -> tuple[int, ...]:
     Always ends exactly at the horizon so the last entry of a miss series
     is the overall miss ratio.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
+    if horizon < 1 or points < 1:
+        raise ValueError("horizon and points must be positive")
     if horizon <= points:
         return tuple(range(1, horizon + 1))
     grid = np.unique(np.round(np.logspace(0, math.log10(horizon), points)).astype(int))
@@ -49,11 +49,6 @@ class RunResult:
     @property
     def final_miss_ratio(self) -> float:
         return self.miss_series[-1]
-
-
-def empirical_regret(run: RunResult) -> int:
-    """Misses beyond the best fixed cache in hindsight (may be negative)."""
-    return run.total_misses - run.opt_misses
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,10 @@ three noise couplings share that skeleton:
 
 Every argmax breaks ties toward the lower file id.
 
-Each policy has one simulation loop, ``_kernel``, reached through
-``run_block`` (a block of requests, with checkpoint stops; what the engine
-calls) or ``step`` (a single request, returning a :class:`PolicyStep`).
+Each policy's one simulation loop is ``run_block(t0, requests, observed)``,
+which feeds a block of requests and returns its misses; where the blocks
+end, and so where miss ratios are read, is up to the caller.
+``step`` is a one-request block that returns a :class:`PolicyStep`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import replace
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +36,7 @@ import numpy as np
 from .core import Catalog, PolicyConfig, RngStream
 from .topk import TopCTracker, top_c_indices
 
-POLICY_NAMES = ("s-nfpl", "d-nfpl", "l-nfpl", "nfpl", "fpl", "lfu", "lru")
+POLICY_NAMES = ("s-nfpl", "d-nfpl", "l-nfpl", "fpl", "lfu", "lru")
 
 
 class PolicyStep(NamedTuple):
@@ -49,41 +49,17 @@ class PolicyStep(NamedTuple):
 
 
 class _BlockPolicy:
-    """The simulation entry points shared by every policy.
+    """The per-request entry point shared by every policy.
 
-    A policy implements ``_kernel(t, end, pairs) -> misses``: one loop over
-    requests t+1 .. end, read as (file id, observed) pairs, with its state
-    bound to locals; it scores each request against the cache it finds and
-    then updates. The two public entry points only cut the input around it.
+    A policy implements ``run_block(t0, requests, observed) -> misses``: one
+    loop over requests t0+1 .. t0+len(requests), given as sequences of file
+    ids and observation bits, with its state bound to locals; it scores each
+    request against the cache it finds and then updates.
     """
-
-    def run_block(self, t0: int, requests, observed, stops=()):
-        """Simulate requests ``t0+1 .. t0+len(requests)``.
-
-        ``requests`` and ``observed`` are sequences of file ids and
-        observation bits; ``stops`` are ascending request numbers inside
-        the block. Returns the block's misses and, for each stop, the
-        block's misses up to and including that request.
-        """
-        kernel = self._kernel
-        pairs = zip(requests, observed)
-        end = t0 + len(requests)
-        if not stops:
-            return kernel(t0, end, pairs), []
-        misses = 0
-        at_stops = []
-        t = t0
-        for stop in stops:
-            misses += kernel(t, stop, islice(pairs, stop - t))
-            at_stops.append(misses)
-            t = stop
-        if t < end:
-            misses += kernel(t, end, pairs)
-        return misses, at_stops
 
     def step(self, t: int, request: int, observed: bool) -> PolicyStep:
         """Feed the single request number ``t``; a one-request block."""
-        misses, _ = self.run_block(t - 1, (request,), (observed,))
+        misses = self.run_block(t - 1, (request,), (observed,))
         return PolicyStep(request, observed, misses == 0, self.cache)
 
 
@@ -212,11 +188,13 @@ class NfplPolicy(_BlockPolicy):
         top = top_c_indices(self._counts_np + gamma, self.config.cache_capacity)
         return set(top.tolist())
 
-    def _kernel(self, t: int, end: int, pairs) -> int:
-        if t != self._t:
+    def run_block(self, t0: int, requests, observed) -> int:
+        if t0 != self._t:
             raise ValueError(
-                f"steps must arrive in order: expected t={self._t + 1}, got {t + 1}"
+                f"steps must arrive in order: expected t={self._t + 1}, got {t0 + 1}"
             )
+        t = t0
+        end = t0 + len(requests)
         if end > self.horizon:
             raise ValueError(f"t={end} beyond horizon {self.horizon}")
         cache = self.cache
@@ -246,7 +224,7 @@ class NfplPolicy(_BlockPolicy):
         flag = self.flag
         misses = sampled = changes = refreshes = 0
 
-        for f, obs in pairs:
+        for f, obs in zip(requests, observed):
             t += 1
             if f not in cache:
                 misses += 1
@@ -347,7 +325,7 @@ class LfuPolicy(_BlockPolicy):
         self.sampled_steps = 0
         self._tracker = TopCTracker([0] * catalog.n_files, cache_capacity)
 
-    def _kernel(self, t: int, end: int, pairs) -> int:
+    def run_block(self, t0: int, requests, observed) -> int:
         cache = self.cache
         counts = self.counts
         tracker = self._tracker
@@ -356,7 +334,7 @@ class LfuPolicy(_BlockPolicy):
         scores = tracker.scores
         threshold = self.admission_threshold
         misses = sampled = 0
-        for f, obs in pairs:
+        for f, obs in zip(requests, observed):
             hit = f in cache
             if not hit:
                 misses += 1
@@ -390,12 +368,12 @@ class LruPolicy(_BlockPolicy):
     def cache(self):
         return self._recency.keys()
 
-    def _kernel(self, t: int, end: int, pairs) -> int:
+    def run_block(self, t0: int, requests, observed) -> int:
         recency = self._recency
         to_front = recency.move_to_end
         pop_oldest = recency.popitem
         misses = sampled = 0
-        for f, obs in pairs:
+        for f, obs in zip(requests, observed):
             hit = f in recency
             if not hit:
                 misses += 1
@@ -423,8 +401,6 @@ def make_policy(
         return LfuPolicy(config.cache_capacity, catalog)
     if name == "lru":
         return LruPolicy(config.cache_capacity, catalog)
-    if name == "nfpl":
-        return NfplPolicy(config, catalog, horizon, rng, **hooks)
     if name == "fpl":
         cfg = replace(config, noise_mode="static")
         return NfplPolicy(cfg, catalog, horizon, rng, ignore_mask=True, **hooks)

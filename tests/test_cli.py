@@ -44,6 +44,14 @@ def test_unknown_policy_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_zero_checkpoints_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--gen-kind", "zipf", "--n", "20", "--t", "100",
+                 "--policies", "lfu", "--c", "2", "--checkpoints", "0",
+                 "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_capacity_at_catalog_size_is_runtime_error(tmp_path, capsys):
     code = run_cli(["run", "--gen-kind", "zipf", "--n", "20", "--t", "100",
                     "--policies", "lfu", "--c", "20", "--out", str(tmp_path)])

@@ -3,7 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from nfplcache.core import Catalog, PolicyConfig, Trace, default_eta, spawn_stream
+from nfplcache.core import (
+    STREAM_POLICY,
+    Catalog,
+    PolicyConfig,
+    Trace,
+    default_eta,
+    spawn_stream,
+)
 from nfplcache.engine import (
     PolicySpec,
     TraceSpec,
@@ -11,6 +18,7 @@ from nfplcache.engine import (
     run_experiment,
     run_one,
 )
+from nfplcache.policies import make_policy
 from nfplcache.traces import bpo_mask
 
 
@@ -29,6 +37,38 @@ def test_run_one_is_deterministic():
     assert a == b  # bit-identical apart from wall time
     c = run_one(trace, PolicySpec("l-nfpl", cfg), seed=12)
     assert a != c
+
+
+@pytest.mark.parametrize("name, batch", [("s-nfpl", 1), ("l-nfpl", 1), ("d-nfpl", 8),
+                                         ("lfu", 1)])
+def test_checkpoints_straddling_block_edges_match_step_replay(name, batch):
+    # the trace spans more than two 65 536-request segments, and the
+    # checkpoints sit on and around their edges
+    t = 140_000
+    trace = make_trace(TraceSpec(kind="zipf", n_files=200, length=t, seed=4))
+    cfg = PolicyConfig(cache_capacity=10, batch_size=batch, observe_prob=0.5,
+                       sample_prob=0.5, eta=default_eta(batch, 10, t))
+    mask = bpo_mask(t, 0.5, spawn_stream(7, 0))
+    checkpoints = (1, 65_535, 65_536, 65_537, 131_072, t)
+    res = run_one(trace, PolicySpec(name, cfg), seed=7, mask=mask, checkpoints=checkpoints)
+
+    policy = make_policy(name, cfg, trace.catalog, t, spawn_stream(7, STREAM_POLICY))
+    misses = 0
+    want = []
+    for i, (f, obs) in enumerate(zip(trace.requests.tolist(), mask.bits.tolist()), start=1):
+        misses += not policy.step(i, f, obs).hit
+        if i in checkpoints:
+            want.append(misses / i)
+    assert res.checkpoints == checkpoints
+    assert res.miss_series == tuple(want)
+    assert res.total_misses == misses
+
+
+@pytest.mark.parametrize("checkpoints", [(10, 200), (5, 3, 10), (10, 10, 20), ()])
+def test_run_one_rejects_bad_checkpoints(checkpoints):
+    _, trace, cfg = small_setup(t=100)
+    with pytest.raises(ValueError, match="checkpoints"):
+        run_one(trace, PolicySpec("lfu", cfg), seed=0, checkpoints=checkpoints)
 
 
 def test_make_trace_kinds():

@@ -3,8 +3,9 @@
 The ``Ref*`` classes below are the per-request ``step()`` logic that the
 policies ran before ``run_block`` existed, kept verbatim apart from
 naming as the oracle: same draws from the same streams, same counters,
-same tie-breaks. Every policy must agree with them on random traces cut
-into random blocks, with random checkpoint stops.
+same tie-breaks. Every policy's ``run_block`` must agree with them on
+random traces cut into random blocks; checkpoints are cut by the engine
+and tested in ``test_engine.py``.
 """
 
 from __future__ import annotations
@@ -204,8 +205,6 @@ def make_reference(name, config, catalog, horizon, rng):
         return RefLfu(config.cache_capacity, catalog, admission_threshold=True)
     if name == "lru":
         return RefLru(config.cache_capacity, catalog)
-    if name == "nfpl":
-        return RefNfpl(config, catalog, horizon, rng)
     if name == "fpl":
         return RefNfpl(replace(config, noise_mode="static"), catalog, horizon, rng,
                        ignore_mask=True)
@@ -233,7 +232,7 @@ def state(policy) -> tuple:
 
 # ---------------------------------------------------------------- properties
 
-NAMES = ("s-nfpl", "l-nfpl", "d-nfpl", "fpl", "nfpl", "lfu", "lru", "lfu-threshold")
+NAMES = ("s-nfpl", "l-nfpl", "d-nfpl", "fpl", "lfu", "lru", "lfu-threshold")
 
 
 @st.composite
@@ -253,7 +252,6 @@ def scenarios(draw):
         batch_size=batch,
         observe_prob=draw(st.sampled_from((0.5, 1.0))),
         eta=draw(st.sampled_from((0.5, 1.0, 3.0, 7.5))),
-        noise_mode=draw(st.sampled_from(("static", "dynamic", "lazy"))),
         sampling=sampling,
         **kw,
     )
@@ -262,14 +260,13 @@ def scenarios(draw):
     requests = (rng.zipf(1.3, horizon) % n).tolist()
     observed = (rng.random(horizon) < config.observe_prob).tolist()
     cuts = sorted(set(draw(st.lists(st.integers(1, horizon), max_size=8))) - {horizon})
-    stops = sorted(set(draw(st.lists(st.integers(1, horizon), max_size=10))))
-    return n, config, requests, observed, [0, *cuts, horizon], stops
+    return n, config, requests, observed, [0, *cuts, horizon]
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(name=st.sampled_from(NAMES), scenario=scenarios(), seed=st.integers(0, 10**6))
 def test_run_block_matches_per_request_reference(name, scenario, seed):
-    n, config, requests, observed, bounds, stops = scenario
+    n, config, requests, observed, bounds = scenario
     catalog = Catalog(n)
     horizon = len(requests)
     ref = make_reference(name, config, catalog, horizon, spawn_stream(seed, 1))
@@ -286,10 +283,7 @@ def test_run_block_matches_per_request_reference(name, scenario, seed):
 
     total = 0
     for lo, hi in zip(bounds, bounds[1:]):
-        inside = [s for s in stops if lo < s <= hi]
-        misses, at_stops = pol.run_block(lo, requests[lo:hi], observed[lo:hi], inside)
-        assert [total + m for m in at_stops] == [ref_misses[s - 1] for s in inside]
-        total += misses
+        total += pol.run_block(lo, requests[lo:hi], observed[lo:hi])
         assert total == ref_misses[hi - 1]
         assert state(pol) == ref_states[hi]
         assert len(pol.cache) == config.cache_capacity
@@ -319,6 +313,6 @@ def test_sampling_bits_refill_across_chunks():
     got = 0
     bounds = [0, 7_001, 12_345, 25_000, horizon]
     for lo, hi in zip(bounds, bounds[1:]):
-        got += pol.run_block(lo, trace[lo:hi], observed[lo:hi])[0]
+        got += pol.run_block(lo, trace[lo:hi], observed[lo:hi])
     assert got == want
     assert state(pol) == state(ref)

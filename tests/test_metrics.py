@@ -8,7 +8,6 @@ from nfplcache.metrics import (
     RunResult,
     aggregate,
     default_checkpoints,
-    empirical_regret,
     read_series_csv,
     write_series_csv,
 )
@@ -79,6 +78,8 @@ def test_checkpoint_grid_shape():
     assert len(grid) <= 200
     assert all(a < b for a, b in zip(grid, grid[1:]))
     assert default_checkpoints(50) == tuple(range(1, 51))
+    with pytest.raises(ValueError):
+        default_checkpoints(200_000, 0)
 
 
 def test_miss_series_is_valid_cumulative_average():
@@ -91,13 +92,6 @@ def test_miss_series_is_valid_cumulative_average():
     for (t1, s1), (t2, s2) in zip(zip(grid, series), zip(grid[1:], series[1:])):
         interval = (misses[t2 - 1] - misses[t1 - 1]) / (t2 - t1)
         assert min(s1, interval) - 1e-12 <= s2 <= max(s1, interval) + 1e-12
-
-
-def test_empirical_regret_is_miss_difference():
-    run = make_run(0.5, total_misses=120, opt_misses=100, regret=20)
-    assert empirical_regret(run) == 20
-    run = make_run(0.5, total_misses=80, opt_misses=100, regret=-20)
-    assert empirical_regret(run) == -20  # negative on benign traces
 
 
 def test_series_csv_round_trip(tmp_path):

@@ -123,6 +123,24 @@ def test_replace_min_swaps_out_the_weakest_member():
 
 
 @settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bump_sequences_track_top_c_reference(data):
+    # small-integer scores and increments make ties common
+    n = data.draw(st.integers(1, 20))
+    c = data.draw(st.integers(1, n))
+    scores = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    tracker = TopCTracker(scores, c)
+    bumps = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2)),
+                               max_size=80))
+    for f, inc in bumps:
+        scores[f] += inc
+        tracker.bump(f, scores[f])
+        members = tracker.members()
+        assert members == top_c_reference(scores, c)
+        assert tracker.min_member() == min(members, key=lambda g: (scores[g], -g))
+
+
+@settings(max_examples=300, deadline=None)
 @given(values=st.lists(st.integers(0, 4), min_size=1, max_size=60), data=st.data())
 def test_top_c_indices_matches_stable_argsort_on_ties(values, data):
     c = data.draw(st.integers(1, len(values)))
