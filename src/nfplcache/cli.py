@@ -76,16 +76,10 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--parallel", type=int, default=1,
                         help="worker processes (env NFPL_THREADS overrides)")
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--format", choices=("csv", "tsv"), default="csv",
-                        help="summary table format")
-    parser.add_argument("--checkpoints", type=int, default=200,
-                        help="number of log-spaced miss-ratio checkpoints")
     parser.add_argument("--unpaired", action="store_true",
                         help="give each policy its own observation mask stream")
     parser.add_argument("--regen-trace-per-run", action="store_true",
                         help="redraw the synthetic trace for every seed")
-    parser.add_argument("--emit-plot-script", action="store_true",
-                        help="also write a matplotlib script for the emitted csv files")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,8 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run policies over a trace and summarize")
     _add_trace_source(run)
     _add_run_options(run)
-    run.add_argument("--sampling", choices=("bernoulli", "fixed"), default="bernoulli")
-    run.add_argument("--fixed-b", type=int, help="samples per batch for fixed sampling")
+    run.add_argument("--fixed-b", type=int, help="sample exactly this many requests per batch")
+    run.add_argument("--format", choices=("csv", "tsv"), default="csv",
+                     help="summary table format")
+    run.add_argument("--checkpoints", type=int, default=200,
+                     help="number of log-spaced miss-ratio checkpoints")
+    run.add_argument("--emit-plot-script", action="store_true",
+                     help="also write a matplotlib script for the emitted csv files")
 
     sweep = sub.add_parser("sweep", help="sweep the request sampling rate")
     _add_trace_source(sweep)
@@ -160,18 +159,21 @@ def _resolve_eta(value: str, batch: int, capacity: int, horizon: int, p: float) 
     return float(value)
 
 
-def _base_config(args, horizon: int) -> PolicyConfig:
-    eta = _resolve_eta(args.eta, args.b, args.c, horizon, args.p)
-    sampling = getattr(args, "sampling", "bernoulli")
-    return PolicyConfig(
-        cache_capacity=args.c,
-        batch_size=args.b,
-        observe_prob=args.p,
-        sample_prob=args.q,
-        eta=eta,
-        sampling=sampling,
-        fixed_per_batch=getattr(args, "fixed_b", None) if sampling == "fixed" else None,
-    )
+def _base_config(args, horizon: int, parser) -> PolicyConfig:
+    fixed_b = getattr(args, "fixed_b", None)
+    if fixed_b is not None and args.q != 1.0:
+        parser.error("--fixed-b selects fixed sampling, which takes no --q")
+    try:
+        return PolicyConfig(
+            cache_capacity=args.c,
+            batch_size=args.b,
+            observe_prob=args.p,
+            sample_prob=args.q,
+            eta=_resolve_eta(args.eta, args.b, args.c, horizon, args.p),
+            fixed_per_batch=fixed_b,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _summary_row(name: str, agg, bound: float | None) -> dict:
@@ -253,7 +255,7 @@ def cmd_run(args, parser) -> int:
         raise RuntimeError(
             f"cache capacity {args.c} must be below catalog size {trace.catalog.n_files}"
         )
-    config = _base_config(args, horizon)
+    config = _base_config(args, horizon, parser)
     specs = [PolicySpec(name, config) for name in args.policies]
     results = run_experiment(
         trace_spec,
@@ -324,19 +326,17 @@ def cmd_sweep(args, parser) -> int:
             f"cache capacity {args.c} must be below catalog size {trace.catalog.n_files}"
         )
     modes = ("var", "fix") if args.mode == "both" else (args.mode,)
-    base = _base_config(args, horizon)
+    base = _base_config(args, horizon, parser)
     _, opt_misses = opt_static(trace, args.c)
 
     curves: dict[str, list[tuple[float, float, float]]] = {}
     for rate in args.rates:
         for mode in modes:
             if mode == "var":
-                config = replace(base, sample_prob=rate, sampling="bernoulli",
-                                 fixed_per_batch=None)
+                config = replace(base, sample_prob=rate)
             else:
                 b = min(args.b, max(1, round(rate * args.b)))
-                config = replace(base, sample_prob=1.0, sampling="fixed",
-                                 fixed_per_batch=b)
+                config = replace(base, sample_prob=1.0, fixed_per_batch=b)
             specs = [PolicySpec(name, config) for name in args.policies]
             results = run_experiment(
                 trace_spec, specs, runs=args.runs, base_seed=args.seed,

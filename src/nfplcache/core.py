@@ -21,7 +21,6 @@ STREAM_POLICY = 1
 STREAM_TRACE = 2
 
 NOISE_MODES = ("static", "dynamic", "lazy")
-SAMPLING_MODES = ("bernoulli", "fixed")
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,8 @@ class PolicyConfig:
     """All tunables for one policy instance.
 
     ``eta`` is stored, not recomputed per step; use :func:`default_eta`
-    to fill it from the horizon. ``fixed_per_batch`` switches request
-    sampling from i.i.d. Bernoulli(q) to exactly-b-per-batch.
+    to fill it from the horizon. Requests are sampled i.i.d. Bernoulli
+    (``sample_prob``), or exactly ``fixed_per_batch`` per batch when it is set.
     """
 
     cache_capacity: int
@@ -86,7 +85,6 @@ class PolicyConfig:
     sample_prob: float = 1.0
     eta: float = 1.0
     noise_mode: str = "static"
-    sampling: str = "bernoulli"
     fixed_per_batch: int | None = None
 
     def __post_init__(self) -> None:
@@ -102,14 +100,9 @@ class PolicyConfig:
             raise ValueError("eta must be positive")
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
-        if self.sampling not in SAMPLING_MODES:
-            raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
-        if self.sampling == "fixed":
-            b = self.fixed_per_batch
-            if b is None or not 1 <= b <= self.batch_size:
-                raise ValueError(
-                    "fixed sampling needs 1 <= fixed_per_batch <= batch_size"
-                )
+        b = self.fixed_per_batch
+        if b is not None and not 1 <= b <= self.batch_size:
+            raise ValueError("fixed sampling needs 1 <= fixed_per_batch <= batch_size")
 
 
 def default_eta(

@@ -82,6 +82,18 @@ def make_trace(spec: TraceSpec, seed: int | None = None) -> Trace:
     return gen_round_robin(catalog, spec.length)
 
 
+def _checked_checkpoints(checkpoints, horizon: int) -> tuple[int, ...]:
+    """The default grid for None; else the checkpoints, if they are valid."""
+    if checkpoints is None:
+        return default_checkpoints(horizon)
+    checkpoints = tuple(checkpoints)
+    if not checkpoints or any(
+        not prev < t <= horizon for prev, t in zip((0, *checkpoints), checkpoints)
+    ):
+        raise ValueError(f"checkpoints must be strictly ascending within [1, {horizon}]")
+    return checkpoints
+
+
 def run_one(
     trace: Trace,
     spec: PolicySpec,
@@ -102,13 +114,7 @@ def run_one(
         mask = bpo_mask(horizon, spec.config.observe_prob, spawn_stream(seed, STREAM_BPO))
     if len(mask) != horizon:
         raise ValueError("mask length must match the trace")
-    if checkpoints is None:
-        checkpoints = default_checkpoints(horizon)
-    checkpoints = tuple(checkpoints)
-    if not checkpoints or any(
-        not prev < t <= horizon for prev, t in zip((0, *checkpoints), checkpoints)
-    ):
-        raise ValueError(f"checkpoints must be strictly ascending within [1, {horizon}]")
+    checkpoints = _checked_checkpoints(checkpoints, horizon)
     if opt_misses is None:
         _, opt_misses = opt_static(trace, spec.config.cache_capacity)
     policy = make_policy(
@@ -161,7 +167,7 @@ def _run_seed(seed: int) -> list[RunResult]:
     if trace is None:
         trace = make_trace(ctx["trace_spec"], seed=seed)
     specs = ctx["specs"]
-    checkpoints = ctx["checkpoints"] or default_checkpoints(len(trace))
+    checkpoints = ctx["checkpoints"]
     results = []
     try:
         # paired: every policy shares the seed's mask; unpaired: each policy
@@ -201,7 +207,8 @@ def run_experiment(
     ``paired=True`` requires a single observation probability across the
     policy set (all policies share each seed's mask). A pre-built trace
     may be passed to skip generation; otherwise the trace is built once
-    from the spec, or per run when ``regen_trace_per_run`` is set.
+    from the spec, or per run of a synthetic spec when
+    ``regen_trace_per_run`` is set. Checkpoints are checked before any run.
     """
     if runs < 1:
         raise ValueError("need at least one run")
@@ -216,18 +223,19 @@ def run_experiment(
                 "use paired=False for mixed settings"
             )
 
+    opt_cache: dict[int, int] = {}
     if regen_trace_per_run:
+        if trace_spec.kind == "file":
+            raise ValueError("regen_trace_per_run needs a synthetic trace spec")
         shared_trace = None
-        opt_cache: dict[int, int] = {}
+        checkpoints = _checked_checkpoints(checkpoints, trace_spec.length)
     else:
         shared_trace = trace if trace is not None else make_trace(trace_spec)
-        opt_cache = {}
+        checkpoints = _checked_checkpoints(checkpoints, len(shared_trace))
         for spec in policy_specs:
             c = spec.config.cache_capacity
             if c not in opt_cache:
                 opt_cache[c] = opt_static(shared_trace, c)[1]
-        if checkpoints is None:
-            checkpoints = default_checkpoints(len(shared_trace))
 
     ctx = {
         "trace": shared_trace,

@@ -1,11 +1,11 @@
 """Cache policies: the noisy perturbed-leader family plus LFU and LRU.
 
-The perturbed-leader policy keeps approximate request counts (only
-requests with both the observation bit and its own sampling bit set are
-counted) and stores the C files with the largest perturbed counts
-``counts + gamma``. The cache is recomputed only at batch boundaries,
-and only when the batch contributed at least one counted request. The
-three noise couplings share that skeleton:
+The perturbed-leader policy keeps approximate request counts and stores the
+C files with the largest perturbed counts ``counts + gamma``. A request is
+counted only when its observation bit and the policy's own sampling bit
+(Bernoulli(q), or exactly b per batch) are both set. The cache is recomputed
+only at batch boundaries, and only when the batch contributed at least one
+counted request. The three noise couplings share that skeleton:
 
 * ``static``  - gamma stays at its initial draw; the top-C view is
   maintained incrementally through a heap.
@@ -66,6 +66,7 @@ class _BlockPolicy:
 class NfplPolicy(_BlockPolicy):
     """Noisy perturbed-leader caching over a fixed horizon.
 
+    ``_counted`` makes the whole sampling decision for a block.
     ``gamma0`` and ``beta`` are test hooks that bypass the stream draws:
     ``gamma0`` injects the initial noise vector, ``beta`` a full per-step
     sampling schedule. ``ignore_mask`` makes the policy count every
@@ -109,26 +110,18 @@ class NfplPolicy(_BlockPolicy):
             raise ValueError("gamma0 entries must lie in [0, eta)")
         self.gamma0 = gamma0
 
-        # Sampling bits live on their own substream, drawn in constant-size
-        # chunks (or per batch in fixed mode), so policy state stays O(N+C)
+        # Sampling bits live on their own substream, drawn block by block
+        # (or per batch in fixed mode), so policy state stays O(N+C)
         # whatever the horizon.
         self._beta_rng = rng.substream(1)
-        self._beta_override = None
-        self._always_sample = False
-        self._beta_buf: list[bool] = []
-        self._beta_pos = 0
+        self._beta = None
         self._batch_bits: list[bool] = []
         self._drawn_batch = -1
         if beta is not None:
             beta = np.asarray(beta, dtype=bool)
             if beta.shape != (horizon,):
                 raise ValueError("beta schedule must cover the whole horizon")
-            self._beta_override = beta.tolist()
-        elif config.sampling == "fixed":
-            if config.fixed_per_batch == config.batch_size:
-                self._always_sample = True
-        elif config.sample_prob >= 1.0:
-            self._always_sample = True
+            self._beta = beta.tolist()
 
         # Counts and noise are plain lists for the kernel; the ``counts``
         # and ``gamma`` properties give numpy copies.
@@ -165,19 +158,40 @@ class NfplPolicy(_BlockPolicy):
     def heap_ops(self) -> int:
         return self.tracker.op_counter if self.tracker is not None else 0
 
-    def _fixed_bit(self, t: int) -> bool:
-        # exactly b of each batch's positions, uniform without replacement
-        # (a trailing partial batch is truncated); drawn when the batch
-        # first needs a bit
-        cfg = self.config
-        batch_idx = (t - 1) // cfg.batch_size
-        if batch_idx != self._drawn_batch:
-            bits = [False] * cfg.batch_size
-            for pos in self._beta_rng.permutation(cfg.batch_size)[: cfg.fixed_per_batch]:
-                bits[pos] = True
-            self._batch_bits = bits
-            self._drawn_batch = batch_idx
-        return self._batch_bits[(t - 1) % cfg.batch_size]
+    def _counted(self, t0: int, observed):
+        """Counted bits of requests t0+1 .. t0+len(observed): observed
+        (every request, for fpl) and sampled. Only observed requests draw a
+        sampling bit: Bernoulli(q), or b of each batch's B positions drawn
+        without replacement when the batch first needs a bit (a trailing
+        partial batch is truncated)."""
+        if self._ignore_mask:
+            observed = [True] * len(observed)
+        beta = self._beta
+        if beta is not None:
+            return [o and beta[t] for t, o in enumerate(observed, t0)]
+        b = self.config.fixed_per_batch
+        if b is None:
+            q = self.config.sample_prob
+            if q >= 1.0:
+                return observed
+            bits = iter(self._beta_rng.bernoulli(q, sum(observed)).tolist())
+            return [o and next(bits) for o in observed]
+        batch = self._batch
+        if b == batch:
+            return observed
+        counted = []
+        for t, o in enumerate(observed, t0):
+            if o:
+                i = t // batch
+                if i != self._drawn_batch:
+                    bits = [False] * batch
+                    for pos in self._beta_rng.permutation(batch)[:b]:
+                        bits[pos] = True
+                    self._batch_bits = bits
+                    self._drawn_batch = i
+                o = self._batch_bits[t % batch]
+            counted.append(o)
+        return counted
 
     def _redraw(self) -> set[int]:
         """Dynamic refresh: fresh noise, then the top C of counts + noise."""
@@ -211,50 +225,28 @@ class NfplPolicy(_BlockPolicy):
         grid = self._grid
         eta = self.eta
         ceil = math.ceil
-        every = self._ignore_mask
-        always = self._always_sample
-        override = self._beta_override
-        bernoulli = not always and override is None and self.config.sampling == "bernoulli"
-        q = self.config.sample_prob
-        buf = self._beta_buf
-        pos = self._beta_pos
-        size = len(buf)
         batch = self._batch
         boundary = (t // batch + 1) * batch
         flag = self.flag
         misses = sampled = changes = refreshes = 0
 
-        for f, obs in zip(requests, observed):
+        for f, counted in zip(requests, self._counted(t0, observed)):
             t += 1
             if f not in cache:
                 misses += 1
-            if obs or every:
-                if always:
-                    bit = True
-                elif bernoulli:
-                    if pos == size:
-                        buf = self._beta_rng.bernoulli(q, 8192).tolist()
-                        size = len(buf)
-                        pos = 0
-                    bit = buf[pos]
-                    pos += 1
-                elif override is not None:
-                    bit = override[t - 1]
+            if counted:
+                counts[f] += 1
+                sampled += 1
+                flag = True
+                if static:
+                    swap = bump(f, scores[f] + 1.0)
+                    changes += 1
+                    if swap[0] is not None:
+                        pending.append(swap)
+                elif lazy:
+                    dirty.add(f)
                 else:
-                    bit = self._fixed_bit(t)
-                if bit:
-                    counts[f] += 1
-                    sampled += 1
-                    flag = True
-                    if static:
-                        swap = bump(f, scores[f] + 1.0)
-                        changes += 1
-                        if swap[0] is not None:
-                            pending.append(swap)
-                    elif lazy:
-                        dirty.add(f)
-                    else:
-                        unsynced.append(f)
+                    unsynced.append(f)
             if t == boundary:
                 boundary += batch
                 if flag:
@@ -285,8 +277,6 @@ class NfplPolicy(_BlockPolicy):
 
         self._t = t
         self.flag = flag
-        self._beta_buf = buf
-        self._beta_pos = pos
         self.sampled_steps += sampled
         self.score_changes += changes
         self.cache_refreshes += refreshes

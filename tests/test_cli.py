@@ -6,7 +6,9 @@ import pytest
 from scipy import stats
 
 from nfplcache.cli import main
-from nfplcache.metrics import read_series_csv
+from nfplcache.core import PolicyConfig, default_eta
+from nfplcache.engine import PolicySpec, TraceSpec, run_experiment
+from nfplcache.metrics import read_series_csv, write_series_csv
 
 
 def run_cli(args):
@@ -50,6 +52,39 @@ def test_zero_checkpoints_is_usage_error(tmp_path):
                  "--policies", "lfu", "--c", "2", "--checkpoints", "0",
                  "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--p", "0"],
+    ["--q", "1.5"],
+    ["--b", "0"],
+    ["--sampling", "fixed"],
+    ["--b", "10", "--fixed-b", "0"],
+    ["--b", "10", "--fixed-b", "11"],
+    ["--b", "10", "--fixed-b", "3", "--q", "0.5"],
+])
+def test_bad_flag_values_are_usage_errors(tmp_path, flags):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--gen-kind", "zipf", "--n", "20", "--t", "100",
+                 "--policies", "s-nfpl", "--c", "2", "--out", str(tmp_path)] + flags)
+    assert exc.value.code == 2
+
+
+def test_fixed_sampling_matches_the_library(tmp_path):
+    n, t, c, b = 50, 2000, 5, 10
+    common = ["run", "--gen-kind", "zipf", "--n", str(n), "--t", str(t),
+              "--policies", "s-nfpl", "--c", str(c), "--b", str(b), "--p", "0.5",
+              "--runs", "2", "--seed", "1"]
+    assert run_cli(common + ["--fixed-b", "3", "--out", str(tmp_path / "fixed")]) == 0
+    assert run_cli(common + ["--out", str(tmp_path / "bern")]) == 0
+    cfg = PolicyConfig(cache_capacity=c, batch_size=b, observe_prob=0.5,
+                       eta=default_eta(b, c, t), fixed_per_batch=3)
+    spec = TraceSpec(kind="zipf", n_files=n, length=t, alpha=1.0, seed=1)
+    agg = run_experiment(spec, [PolicySpec("s-nfpl", cfg)], runs=2, base_seed=1)["s-nfpl"]
+    write_series_csv(tmp_path / "lib.csv", agg)
+    fixed = (tmp_path / "fixed" / "s-nfpl_series.csv").read_bytes()
+    assert fixed == (tmp_path / "lib.csv").read_bytes()
+    assert fixed != (tmp_path / "bern" / "s-nfpl_series.csv").read_bytes()
 
 
 def test_capacity_at_catalog_size_is_runtime_error(tmp_path, capsys):
@@ -179,6 +214,16 @@ def test_sweep_round_robin_trend_and_fix_var_gap(tmp_path):
         opt_rows = list(csv.DictReader(fh))
     assert len(opt_rows) == 4
     assert float(opt_rows[0]["mean_miss_ratio"]) == pytest.approx(0.9)
+
+
+@pytest.mark.parametrize("flag", [["--format", "tsv"], ["--checkpoints", "0"],
+                                  ["--emit-plot-script"]])
+def test_sweep_rejects_run_only_flags(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--gen-kind", "zipf", "--n", "20", "--t", "100",
+                 "--policies", "s-nfpl", "--c", "2", "--rates", "0.5",
+                 "--out", str(tmp_path)] + flag)
+    assert exc.value.code == 2
 
 
 def test_empty_rate_grid_rejected(tmp_path):

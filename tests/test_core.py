@@ -111,12 +111,10 @@ def test_policy_config_validation():
     with pytest.raises(ValueError):
         PolicyConfig(cache_capacity=1, eta=1.0, noise_mode="wiggly")
     with pytest.raises(ValueError):
-        PolicyConfig(cache_capacity=1, eta=1.0, sampling="fixed")
+        PolicyConfig(cache_capacity=1, batch_size=4, eta=1.0, fixed_per_batch=0)
     with pytest.raises(ValueError):
-        PolicyConfig(cache_capacity=1, batch_size=4, eta=1.0, sampling="fixed",
-                     fixed_per_batch=5)
-    cfg = PolicyConfig(cache_capacity=1, batch_size=4, eta=1.0, sampling="fixed",
-                       fixed_per_batch=2)
+        PolicyConfig(cache_capacity=1, batch_size=4, eta=1.0, fixed_per_batch=5)
+    cfg = PolicyConfig(cache_capacity=1, batch_size=4, eta=1.0, fixed_per_batch=2)
     assert cfg.fixed_per_batch == 2
 
 

@@ -71,6 +71,24 @@ def test_run_one_rejects_bad_checkpoints(checkpoints):
         run_one(trace, PolicySpec("lfu", cfg), seed=0, checkpoints=checkpoints)
 
 
+@pytest.mark.parametrize("regen", [False, True])
+@pytest.mark.parametrize("checkpoints", [(10, 200), ()])
+def test_run_experiment_rejects_bad_checkpoints(checkpoints, regen):
+    spec, trace, cfg = small_setup(t=100)
+    with pytest.raises(ValueError, match="checkpoints"):
+        run_experiment(spec, [PolicySpec("lfu", cfg)], runs=1, base_seed=0,
+                       regen_trace_per_run=regen, checkpoints=checkpoints)
+
+
+def test_regen_trace_per_run_needs_a_synthetic_spec(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("0\n1\n2\n")
+    cfg = PolicyConfig(cache_capacity=1, eta=1.0)
+    with pytest.raises(ValueError, match="synthetic"):
+        run_experiment(TraceSpec(kind="file", path=str(path)), [PolicySpec("lfu", cfg)],
+                       runs=1, base_seed=0, regen_trace_per_run=True)
+
+
 def test_make_trace_kinds():
     for kind in ("zipf", "zipf-rr", "round-robin"):
         trace = make_trace(TraceSpec(kind=kind, n_files=10, length=100, seed=0))

@@ -33,7 +33,7 @@ def cases():
                                 sample_prob=0.5, eta=default_eta(b, C, T, P, "experimental"))
             fixed = PolicyConfig(cache_capacity=C, batch_size=10, observe_prob=P,
                                  eta=default_eta(10, C, T, P, "experimental"),
-                                 sampling="fixed", fixed_per_batch=3)
+                                 fixed_per_batch=3)
             yield f"{kind}/{name}/bernoulli", kind, PolicySpec(name, bern)
             yield f"{kind}/{name}/fixed", kind, PolicySpec(name, fixed)
 

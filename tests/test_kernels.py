@@ -45,7 +45,7 @@ class RefNfpl:
         self._beta_pos = 0
         self._batch_bits = []
         self._drawn_batch = -1
-        if config.sampling == "fixed":
+        if config.fixed_per_batch is not None:
             if config.fixed_per_batch == config.batch_size:
                 self._always_sample = True
         elif config.sample_prob >= 1.0:
@@ -74,7 +74,7 @@ class RefNfpl:
         if self._always_sample:
             return True
         cfg = self.config
-        if cfg.sampling == "fixed":
+        if cfg.fixed_per_batch is not None:
             batch_idx = (t - 1) // cfg.batch_size
             if batch_idx != self._drawn_batch:
                 bits = [False] * cfg.batch_size
@@ -252,7 +252,6 @@ def scenarios(draw):
         batch_size=batch,
         observe_prob=draw(st.sampled_from((0.5, 1.0))),
         eta=draw(st.sampled_from((0.5, 1.0, 3.0, 7.5))),
-        sampling=sampling,
         **kw,
     )
     # small alphabets and a skewed trace make ties in counts and noise common

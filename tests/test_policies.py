@@ -236,8 +236,7 @@ def test_lazy_tracker_matches_full_sort_after_run():
 # -------------------------------------------------------------------- sampling
 
 def test_fixed_sampling_takes_exactly_b_per_batch():
-    cfg = PolicyConfig(cache_capacity=2, batch_size=10, eta=2.0,
-                       sampling="fixed", fixed_per_batch=3)
+    cfg = PolicyConfig(cache_capacity=2, batch_size=10, eta=2.0, fixed_per_batch=3)
     pol = NfplPolicy(cfg, Catalog(20), 100, spawn_stream(5, 1))
     rng = np.random.default_rng(0)
     per_batch = []
@@ -250,8 +249,7 @@ def test_fixed_sampling_takes_exactly_b_per_batch():
 
 
 def test_fixed_sampling_counts_b_per_batch_when_fully_observed():
-    cfg = PolicyConfig(cache_capacity=2, batch_size=8, eta=2.0,
-                       sampling="fixed", fixed_per_batch=2)
+    cfg = PolicyConfig(cache_capacity=2, batch_size=8, eta=2.0, fixed_per_batch=2)
     pol = NfplPolicy(cfg, Catalog(30), 64, spawn_stream(6, 1))
     drive(pol, list(range(30)) + list(range(30)) + [0, 1, 2, 3])
     assert pol.sampled_steps == 16
