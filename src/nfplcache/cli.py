@@ -143,6 +143,8 @@ def _resolve_trace(args, parser) -> tuple:
         parser.error("either --trace or --gen-kind is required")
     if args.n is None or args.t is None:
         parser.error("--gen-kind needs --n and --t")
+    if args.n < 1 or args.t < 1:
+        parser.error("--n and --t must be positive")
     if args.gen_kind in ("zipf", "zipf-rr") and args.alpha <= 0:
         parser.error("--alpha must be positive for zipf traces")
     seed = args.trace_seed if args.trace_seed is not None else args.seed
@@ -160,6 +162,8 @@ def _resolve_eta(value: str, batch: int, capacity: int, horizon: int, p: float) 
 
 
 def _base_config(args, horizon: int, parser) -> PolicyConfig:
+    if args.runs < 1:
+        parser.error("--runs must be positive")
     fixed_b = getattr(args, "fixed_b", None)
     if fixed_b is not None and args.q != 1.0:
         parser.error("--fixed-b selects fixed sampling, which takes no --q")

@@ -22,6 +22,8 @@ STREAM_TRACE = 2
 
 NOISE_MODES = ("static", "dynamic", "lazy")
 
+BERNOULLI_CHUNK = 65_536  # uniforms drawn per step of RngStream.bernoulli
+
 
 @dataclass(frozen=True)
 class Catalog:
@@ -173,7 +175,13 @@ class RngStream:
             return np.ones(size, dtype=bool)
         if p <= 0.0:
             return np.zeros(size, dtype=bool)
-        return self._gen.random(size) < p
+        # chunked, so a long mask never needs a float64 temporary of its
+        # own length; the generator yields the same values either way
+        bits = np.empty(size, dtype=bool)
+        for lo in range(0, size, BERNOULLI_CHUNK):
+            chunk = bits[lo:lo + BERNOULLI_CHUNK]
+            np.less(self._gen.random(len(chunk)), p, out=chunk)
+        return bits
 
     def integers(self, low: int, high: int, size: int | None = None):
         return self._gen.integers(low, high, size=size)

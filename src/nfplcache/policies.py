@@ -14,9 +14,18 @@ counted request. The three noise couplings share that skeleton:
 * ``lazy``    - gamma is the unique value in [0, eta) that keeps
   ``counts + gamma`` on the grid ``gamma0 + eta * Z``; the perturbed
   count of a file moves only when its count crosses a grid line, so
-  most refreshes touch nothing.
+  most refreshes touch nothing. Only the perturbed counts are stored:
+  ``gamma`` reads as ``scores - counts``, which at every batch boundary
+  is that value.
 
 Every argmax breaks ties toward the lower file id.
+
+The counted path makes no call when nothing can move. Static noise and LFU
+hits raise a score in place through :class:`~nfplcache.topk.TopCTracker`'s
+increase-key protocol; the tracker is called only to sift a member at an
+inner heap node or to swap in a non-member that beats the weakest member.
+At B = 1 lazy noise sends a counted file to the refresh only when its count
+may have crossed its grid line.
 
 Each policy's one simulation loop is ``run_block(t0, requests, observed)``,
 which feeds a block of requests and returns its misses; where the blocks
@@ -124,16 +133,16 @@ class NfplPolicy(_BlockPolicy):
             self._beta = beta.tolist()
 
         # Counts and noise are plain lists for the kernel; the ``counts``
-        # and ``gamma`` properties give numpy copies.
+        # and ``gamma`` properties give numpy copies. Only the dynamic
+        # refresh replaces the noise; lazy mode reads it as its grid.
         self._counts = [0] * n
         self._gamma = gamma0.tolist()
-        self._grid = self._gamma[:] if self._mode == "lazy" else None
         self.flag = False
         self.cache_refreshes = 0
         self.sampled_steps = 0
         self.score_changes = 0
         self._t = 0
-        self._dirty: set[int] = set()  # lazy: files counted since the last refresh
+        self._dirty: set[int] = set()  # lazy: files the next refresh checks
         self._pending: list[tuple[int, int]] = []  # (evicted, admitted) not yet applied
         self._unsynced: list[int] = []  # dynamic: counted ids not yet in _counts_np
 
@@ -152,6 +161,10 @@ class NfplPolicy(_BlockPolicy):
 
     @property
     def gamma(self) -> np.ndarray:
+        if self._mode == "lazy":
+            # the perturbed count less the count; at a batch boundary this
+            # is the offset in [0, eta) that puts the count on its grid
+            return np.array(self.tracker.scores) - self.counts
         return np.array(self._gamma, dtype=float)
 
     @property
@@ -216,19 +229,24 @@ class NfplPolicy(_BlockPolicy):
         static = self._mode == "static"
         lazy = self._mode == "lazy"
         tracker = self.tracker
-        bump = tracker.bump if tracker is not None else None
-        scores = tracker.scores if tracker is not None else None
+        if tracker is not None:
+            bump = tracker.bump
+            scores = tracker.scores
+            heap = tracker.heap
+            pos = tracker.pos
+            sift_down = tracker.sift_down
+            inner = len(heap) // 2  # heap[i] is a leaf from here on
         unsynced = self._unsynced
         pending = self._pending
         dirty = self._dirty
-        gamma = self._gamma
-        grid = self._grid
+        grid = self._gamma  # lazy: gamma0, never rewritten
         eta = self.eta
         ceil = math.ceil
         batch = self._batch
+        every_counted = batch > 1
         boundary = (t // batch + 1) * batch
         flag = self.flag
-        misses = sampled = changes = refreshes = 0
+        misses = sampled = changes = refreshes = ops = 0
 
         for f, counted in zip(requests, self._counted(t0, observed)):
             t += 1
@@ -239,12 +257,37 @@ class NfplPolicy(_BlockPolicy):
                 sampled += 1
                 flag = True
                 if static:
-                    swap = bump(f, scores[f] + 1.0)
+                    # the tracker's increase-key protocol: a call only
+                    # when the heap can move
                     changes += 1
-                    if swap[0] is not None:
-                        pending.append(swap)
+                    s = scores[f] + 1.0
+                    if f < 0:
+                        bump(f, s)  # rejects the id
+                    i = pos[f]
+                    if i >= 0:
+                        scores[f] = s
+                        ops += 1
+                        if i < inner:
+                            sift_down(i)
+                    else:
+                        root = heap[0]
+                        rs = scores[root]
+                        if s < rs or (s == rs and f > root):
+                            scores[f] = s
+                        else:
+                            pending.append(bump(f, s))
                 elif lazy:
-                    dirty.add(f)
+                    # At B = 1 a file joins only if its count may have
+                    # crossed its grid line gamma0 + eta * k, its score s:
+                    # a count c <= s - 0.5 keeps ceil((c - gamma0) / eta)
+                    # <= k, as rounding moves that quotient by far less
+                    # than 0.5 / eta for scores below 2**50. At B > 1 every
+                    # counted file joins: the refresh bumps in the set's
+                    # iteration order, heap_ops depend on that order, and
+                    # a set of the crossing files alone can iterate in
+                    # another order than the set of all counted files.
+                    if every_counted or counts[f] + 0.5 > scores[f]:
+                        dirty.add(f)
                 else:
                     unsynced.append(f)
             if t == boundary:
@@ -253,20 +296,18 @@ class NfplPolicy(_BlockPolicy):
                     flag = False
                     refreshes += 1
                     if lazy:
-                        # move each touched file back onto its grid
-                        # gamma0 + eta * Z; the score rises only when the
-                        # count crossed a grid line
-                        for g in dirty:
-                            g0 = grid[g]
-                            c = counts[g]
-                            new_score = g0 + eta * ceil((c - g0) / eta)
-                            if new_score > scores[g]:
-                                changes += 1
-                                swap = bump(g, new_score)
-                                if swap[0] is not None:
-                                    pending.append(swap)
-                            gamma[g] = new_score - c
-                        dirty.clear()
+                        # move each such file back onto its grid; the
+                        # score rises only when the count crossed a line
+                        if dirty:
+                            for g in dirty:
+                                g0 = grid[g]
+                                new_score = g0 + eta * ceil((counts[g] - g0) / eta)
+                                if new_score > scores[g]:
+                                    changes += 1
+                                    swap = bump(g, new_score)
+                                    if swap[0] is not None:
+                                        pending.append(swap)
+                            dirty.clear()
                     elif not static:
                         cache = self.cache = self._redraw()
                     if pending:
@@ -280,6 +321,8 @@ class NfplPolicy(_BlockPolicy):
         self.sampled_steps += sampled
         self.score_changes += changes
         self.cache_refreshes += refreshes
+        if tracker is not None:
+            tracker.op_counter += ops
         return misses
 
 
@@ -319,11 +362,14 @@ class LfuPolicy(_BlockPolicy):
         cache = self.cache
         counts = self.counts
         tracker = self._tracker
-        bump = tracker.bump
         replace_min = tracker.replace_min
         scores = tracker.scores
+        heap = tracker.heap
+        pos = tracker.pos
+        sift_down = tracker.sift_down
+        inner = len(heap) // 2  # heap[i] is a leaf from here on
         threshold = self.admission_threshold
-        misses = sampled = 0
+        misses = sampled = ops = 0
         for f, obs in zip(requests, observed):
             hit = f in cache
             if not hit:
@@ -333,11 +379,19 @@ class LfuPolicy(_BlockPolicy):
                 c = counts[f] + 1
                 counts[f] = c
                 if hit:
-                    bump(f, c)
-                elif not threshold or c > scores[tracker.min_member()]:
+                    if f < 0:
+                        tracker.bump(f, c)  # rejects the id
+                    # the tracker's increase-key protocol for a member
+                    scores[f] = c
+                    ops += 1
+                    i = pos[f]
+                    if i < inner:
+                        sift_down(i)
+                elif not threshold or c > scores[heap[0]]:
                     cache.remove(replace_min(f, c))
                     cache.add(f)
         self.sampled_steps += sampled
+        tracker.op_counter += ops
         return misses
 
 

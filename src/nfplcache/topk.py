@@ -5,7 +5,9 @@ min-heap keyed by (score asc, id desc), so the root is always the member
 that would be displaced first. Scores only ever increase in this system,
 which reduces every update to an increase-key or a replace-root, both
 O(log C). ``op_counter`` tallies heap work (one per swap, plus one per
-insert/delete event) so callers can measure amortized cost.
+insert/delete event) so callers can measure amortized cost. Hot loops
+raise scores through the tracker's public views without a call when
+nothing can move (see :class:`TopCTracker`).
 
 :func:`top_c_indices` is the one-shot counterpart for a score vector
 that is redrawn wholesale, as dynamic noise does at every refresh.
@@ -42,9 +44,29 @@ class TopCTracker:
 
     Ties are broken toward the lower file id everywhere: the members are
     exactly the first C files under (score desc, id asc) ordering.
+
+    ``heap`` (member ids in heap order, weakest at index 0), ``pos`` (each
+    file's index in ``heap``, -1 for a non-member) and ``scores`` are
+    public views. A caller may raise file ``f``'s score to ``s`` without
+    calling :meth:`bump` by following the increase-key protocol, which is
+    what :meth:`bump` itself does for a valid id and ``s > scores[f]``:
+
+    * member (``i = pos[f] >= 0``): set ``scores[f] = s``, add 1 to
+      ``op_counter`` (a loop may sum these and add them once) and call
+      ``sift_down(i)``; that call may be skipped when ``i >= len(heap) // 2``,
+      because a leaf cannot move;
+    * non-member that does not beat the root ``r = heap[0]``, that is
+      ``s < scores[r]`` or ``s == scores[r]`` and ``f > r``: set
+      ``scores[f] = s``; membership cannot change;
+    * any other case goes through :meth:`bump`, which swaps the file in and
+      returns ``(evicted, admitted)``.
+
+    No other write to ``heap``, ``pos`` or ``scores`` keeps the heap valid.
+    :meth:`bump` and :meth:`replace_min` check their arguments; the
+    protocol leaves the id check to its caller.
     """
 
-    __slots__ = ("capacity", "scores", "_heap", "_pos", "op_counter")
+    __slots__ = ("capacity", "scores", "heap", "pos", "op_counter")
 
     def __init__(self, scores, capacity: int):
         n = len(scores)
@@ -56,27 +78,21 @@ class TopCTracker:
         self.scores = [float(s) for s in scores]
         self.op_counter = 0
         members = heapq.nsmallest(capacity, range(n), key=lambda f: (-self.scores[f], f))
-        self._heap = members
-        self._pos = [-1] * n
+        self.heap = members
+        self.pos = [-1] * n
         for i, f in enumerate(members):
-            self._pos[f] = i
+            self.pos[f] = i
         for i in range(capacity // 2 - 1, -1, -1):
-            self._sift_down(i)
-
-    def __contains__(self, file_id: int) -> bool:
-        return self._pos[file_id] >= 0
+            self.sift_down(i)
 
     def members(self) -> set[int]:
-        return set(self._heap)
+        return set(self.heap)
 
-    def min_member(self) -> int:
-        return self._heap[0]
-
-    def _sift_down(self, i: int) -> None:
-        # Moves heap[i] down past every child weaker than it under
-        # (score asc, id desc); one op per level it descends.
-        heap = self._heap
-        pos = self._pos
+    def sift_down(self, i: int) -> None:
+        """Move ``heap[i]`` down past every child weaker than it under
+        (score asc, id desc), adding one to ``op_counter`` per level."""
+        heap = self.heap
+        pos = self.pos
         scores = self.scores
         size = len(heap)
         f = heap[i]
@@ -122,19 +138,19 @@ class TopCTracker:
         if new_score == old:
             return (None, None)
         self.scores[file_id] = new_score
-        i = self._pos[file_id]
+        i = self.pos[file_id]
         if i >= 0:
             self.op_counter += 1
-            self._sift_down(i)
+            self.sift_down(i)
             return (None, None)
-        root = self._heap[0]
+        root = self.heap[0]
         root_score = self.scores[root]
         if new_score > root_score or (new_score == root_score and file_id < root):
-            self._pos[root] = -1
-            self._heap[0] = file_id
-            self._pos[file_id] = 0
+            self.pos[root] = -1
+            self.heap[0] = file_id
+            self.pos[file_id] = 0
             self.op_counter += 2
-            self._sift_down(0)
+            self.sift_down(0)
             return (root, file_id)
         return (None, None)
 
@@ -144,13 +160,13 @@ class TopCTracker:
         Unlike :meth:`bump` the swap is unconditional: the caller decides
         admission (LFU admits every observed miss).
         """
-        if self._pos[file_id] >= 0:
+        if self.pos[file_id] >= 0:
             raise ValueError(f"file {file_id} is already a member")
-        root = self._heap[0]
-        self._pos[root] = -1
+        root = self.heap[0]
+        self.pos[root] = -1
         self.scores[file_id] = new_score
-        self._heap[0] = file_id
-        self._pos[file_id] = 0
+        self.heap[0] = file_id
+        self.pos[file_id] = 0
         self.op_counter += 2
-        self._sift_down(0)
+        self.sift_down(0)
         return root

@@ -62,6 +62,9 @@ def test_zero_checkpoints_is_usage_error(tmp_path):
     ["--b", "10", "--fixed-b", "0"],
     ["--b", "10", "--fixed-b", "11"],
     ["--b", "10", "--fixed-b", "3", "--q", "0.5"],
+    ["--runs", "0"],
+    ["--t", "0"],
+    ["--n", "0"],
 ])
 def test_bad_flag_values_are_usage_errors(tmp_path, flags):
     with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nfplcache.core import (
+    BERNOULLI_CHUNK,
     Catalog,
     PolicyConfig,
     Trace,
@@ -79,6 +80,18 @@ def test_bernoulli_edge_probabilities():
     assert not s.bernoulli(0.0, 50).any()
     with pytest.raises(ValueError):
         s.bernoulli(1.5, 10)
+
+
+@pytest.mark.parametrize("size", [0, 1, BERNOULLI_CHUNK - 1, BERNOULLI_CHUNK,
+                                  BERNOULLI_CHUNK + 1, 2 * BERNOULLI_CHUNK + 3])
+def test_bernoulli_bits_match_one_uniform_draw(size):
+    # drawn chunk by chunk, yet the same bits as one draw of `size` uniforms,
+    # and the stream continues where the chunks stopped
+    s = spawn_stream(3, 0)
+    got = np.concatenate([s.bernoulli(0.3, size), s.bernoulli(0.3, 5)])
+    want = spawn_stream(3, 0).random(size + 5) < 0.3
+    assert got.dtype == bool
+    assert np.array_equal(got, want)
 
 
 def test_catalog_requires_files():

@@ -2,10 +2,11 @@
 
 The ``Ref*`` classes below are the per-request ``step()`` logic that the
 policies ran before ``run_block`` existed, kept verbatim apart from
-naming as the oracle: same draws from the same streams, same counters,
-same tie-breaks. Every policy's ``run_block`` must agree with them on
-random traces cut into random blocks; checkpoints are cut by the engine
-and tested in ``test_engine.py``.
+naming and ``RefNfpl``'s ``gamma0`` hook as the oracle: same draws from
+the same streams, same counters, same tie-breaks, and for NFPL the same
+tracker scores and heap layout. Every policy's ``run_block`` must agree
+with them on random traces cut into random blocks; checkpoints are cut by
+the engine and tested in ``test_engine.py``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import replace
 from heapq import heapify, heappop, heappush
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +30,7 @@ from nfplcache.traces import gen_zipf
 
 
 class RefNfpl:
-    def __init__(self, config, catalog, horizon, rng, ignore_mask=False):
+    def __init__(self, config, catalog, horizon, rng, ignore_mask=False, gamma0=None):
         n = catalog.n_files
         self.config = config
         self.n_files = n
@@ -37,7 +39,9 @@ class RefNfpl:
         self._ignore_mask = ignore_mask
         self._batch = config.batch_size
         self._mode = config.noise_mode
-        gamma0 = rng.uniform(0.0, self.eta, n)
+        if gamma0 is None:
+            gamma0 = rng.uniform(0.0, self.eta, n)
+        gamma0 = np.asarray(gamma0, dtype=float)
         self.gamma0 = gamma0
         self._beta_rng = rng.substream(1)
         self._always_sample = False
@@ -198,7 +202,7 @@ class RefLru:
         return hit
 
 
-def make_reference(name, config, catalog, horizon, rng):
+def make_reference(name, config, catalog, horizon, rng, **hooks):
     if name == "lfu":
         return RefLfu(config.cache_capacity, catalog)
     if name == "lfu-threshold":
@@ -207,19 +211,24 @@ def make_reference(name, config, catalog, horizon, rng):
         return RefLru(config.cache_capacity, catalog)
     if name == "fpl":
         return RefNfpl(replace(config, noise_mode="static"), catalog, horizon, rng,
-                       ignore_mask=True)
+                       ignore_mask=True, **hooks)
     mode = {"s-nfpl": "static", "d-nfpl": "dynamic", "l-nfpl": "lazy"}[name]
-    return RefNfpl(replace(config, noise_mode=mode), catalog, horizon, rng)
+    return RefNfpl(replace(config, noise_mode=mode), catalog, horizon, rng, **hooks)
 
 
-def make_subject(name, config, catalog, horizon, rng):
+def make_subject(name, config, catalog, horizon, rng, **hooks):
     if name == "lfu-threshold":
         return LfuPolicy(config.cache_capacity, catalog, admission_threshold=True)
-    return make_policy(name, config, catalog, horizon, rng)
+    return make_policy(name, config, catalog, horizon, rng, **hooks)
 
 
-def state(policy) -> tuple:
+def state(policy, with_gamma=True) -> tuple:
+    """Counters, cache and counts, plus an NFPL policy's tracker scores, heap
+    layout and noise. Lazy noise is compared only at batch boundaries: in
+    between, the reference still holds the previous boundary's offsets."""
     counts = getattr(policy, "counts", [])  # LRU keeps none
+    tracker = getattr(policy, "tracker", None)  # NFPL only; d-nfpl has none
+    gamma = getattr(policy, "gamma", None)
     return (
         set(policy.cache),
         policy.heap_ops,
@@ -227,6 +236,8 @@ def state(policy) -> tuple:
         policy.sampled_steps,
         policy.score_changes,
         list(counts) if isinstance(counts, list) else counts.tolist(),
+        None if tracker is None else (list(tracker.scores), list(tracker.heap)),
+        None if gamma is None or not with_gamma else gamma.tolist(),
     )
 
 
@@ -262,14 +273,15 @@ def scenarios(draw):
     return n, config, requests, observed, [0, *cuts, horizon]
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(name=st.sampled_from(NAMES), scenario=scenarios(), seed=st.integers(0, 10**6))
-def test_run_block_matches_per_request_reference(name, scenario, seed):
+def check_blocks_against_reference(name, scenario, seed, **hooks):
     n, config, requests, observed, bounds = scenario
     catalog = Catalog(n)
     horizon = len(requests)
-    ref = make_reference(name, config, catalog, horizon, spawn_stream(seed, 1))
-    pol = make_subject(name, config, catalog, horizon, spawn_stream(seed, 1))
+    ref = make_reference(name, config, catalog, horizon, spawn_stream(seed, 1), **hooks)
+    pol = make_subject(name, config, catalog, horizon, spawn_stream(seed, 1), **hooks)
+
+    def with_gamma(t):
+        return name != "l-nfpl" or t % config.batch_size == 0
 
     ref_misses = []  # cumulative misses after each request
     ref_states = {}
@@ -278,14 +290,51 @@ def test_run_block_matches_per_request_reference(name, scenario, seed):
         total += not ref.step(t, f, obs)
         ref_misses.append(total)
         if t in bounds:
-            ref_states[t] = state(ref)
+            ref_states[t] = state(ref, with_gamma(t))
 
     total = 0
     for lo, hi in zip(bounds, bounds[1:]):
         total += pol.run_block(lo, requests[lo:hi], observed[lo:hi])
         assert total == ref_misses[hi - 1]
-        assert state(pol) == ref_states[hi]
+        assert state(pol, with_gamma(hi)) == ref_states[hi]
         assert len(pol.cache) == config.cache_capacity
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(NAMES), scenario=scenarios(), seed=st.integers(0, 10**6))
+def test_run_block_matches_per_request_reference(name, scenario, seed):
+    check_blocks_against_reference(name, scenario, seed)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(("l-nfpl", "s-nfpl", "fpl")), scenario=scenarios(),
+       seed=st.integers(0, 10**6), data=st.data())
+def test_noise_on_a_half_integer_lattice(name, scenario, seed, data):
+    # gamma0 in {0, 0.5} makes ties between perturbed counts common, and
+    # puts lazy grid points gamma0 + eta * k exactly on integer counts or
+    # halfway between them, where a count meets its grid line with no
+    # rounding slack
+    n, config, requests, observed, bounds = scenario
+    eta = data.draw(st.sampled_from((0.5, 1.0, 2.0, 3.0)))
+    offsets = [g for g in (0.0, 0.5) if g < eta]
+    gamma0 = data.draw(st.lists(st.sampled_from(offsets), min_size=n, max_size=n))
+    config = replace(config, eta=eta)
+    if data.draw(st.booleans()):  # B = 1, where lazy noise skips files below the grid
+        config = replace(config, batch_size=1, fixed_per_batch=config.fixed_per_batch and 1)
+    scenario = (n, config, requests, observed, bounds)
+    check_blocks_against_reference(name, scenario, seed, gamma0=gamma0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lazy_refresh_bump_order_at_large_batches(seed):
+    # several files cross a grid line in one batch of 10, and heap_ops and
+    # the heap layout depend on the order in which the refresh bumps them
+    n, horizon = 150, 3000
+    config = PolicyConfig(cache_capacity=12, batch_size=10, eta=3.0, noise_mode="lazy")
+    rng = np.random.default_rng(seed)
+    requests = (rng.zipf(1.2, horizon) % n).tolist()
+    scenario = (n, config, requests, [True] * horizon, [0, 1234, horizon])
+    check_blocks_against_reference("l-nfpl", scenario, seed)
 
 
 def test_lfu_heap_stays_at_capacity_over_a_long_trace():
@@ -294,7 +343,7 @@ def test_lfu_heap_stays_at_capacity_over_a_long_trace():
     observed = spawn_stream(0, 0).bernoulli(0.5, t).tolist()
     pol = LfuPolicy(c, Catalog(n))
     pol.run_block(0, trace.requests.tolist(), observed)
-    assert len(pol._tracker._heap) == c
+    assert len(pol._tracker.heap) == c
     assert pol._tracker.members() == pol.cache
 
 

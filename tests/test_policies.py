@@ -116,6 +116,25 @@ def test_horizon_overrun_rejected():
         pol.step(3, 0, True)
 
 
+@pytest.mark.parametrize("name", ["s-nfpl", "fpl"])
+@pytest.mark.parametrize("gamma0", [[2.9, 2.8, 0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 2.8, 2.9]])
+def test_static_noise_rejects_a_negative_id(name, gamma0):
+    # -1 would index the last file's slot, which the first gamma0 leaves out
+    # of the cache, below its weakest member, and the second caches
+    cfg = PolicyConfig(cache_capacity=2, eta=3.0)
+    pol = make_policy(name, cfg, Catalog(5), 10, spawn_stream(0, 1), gamma0=gamma0)
+    with pytest.raises(ValueError, match="unknown file id"):
+        pol.run_block(0, [-1], [True])
+
+
+def test_lfu_hit_on_a_negative_id_is_rejected():
+    # the miss admits -1 unchecked; the hit that follows must not raise the
+    # last file's score in its place
+    pol = LfuPolicy(2, Catalog(5))
+    with pytest.raises(ValueError, match="unknown file id"):
+        pol.run_block(0, [-1, -1], [True, True])
+
+
 def test_exact_counts_under_full_observation():
     n, t = 20, 500
     trace = gen_zipf(Catalog(n), t, 1.0, spawn_stream(5, 2))

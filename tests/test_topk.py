@@ -61,7 +61,7 @@ def test_bump_member_increase_keeps_membership():
     tracker = TopCTracker([9, 7, 0], 2)
     assert tracker.bump(1, 20.0) == (None, None)
     assert tracker.members() == {0, 1}
-    assert tracker.min_member() == 0
+    assert tracker.heap[0] == 0
 
 
 def test_bump_rejects_unknown_file_and_decreases():
@@ -117,7 +117,7 @@ def test_replace_min_swaps_out_the_weakest_member():
     assert tracker.members() == {0, 1, 2}
     assert tracker.replace_min(3, 1) == 2  # weakest: score 2, higher id
     assert tracker.members() == {0, 1, 3}
-    assert tracker.min_member() == 3
+    assert tracker.heap[0] == 3
     with pytest.raises(ValueError):
         tracker.replace_min(0, 9)
 
@@ -137,7 +137,7 @@ def test_bump_sequences_track_top_c_reference(data):
         tracker.bump(f, scores[f])
         members = tracker.members()
         assert members == top_c_reference(scores, c)
-        assert tracker.min_member() == min(members, key=lambda g: (scores[g], -g))
+        assert tracker.heap[0] == min(members, key=lambda g: (scores[g], -g))
 
 
 @settings(max_examples=300, deadline=None)
