@@ -161,9 +161,33 @@ class RngStream:
         child._gen = np.random.Generator(np.random.PCG64(ss))
         return child
 
+    def snapshot(self) -> "RngStream":
+        """An independent copy that continues from this stream's position."""
+        child = object.__new__(RngStream)
+        child.seed = self.seed
+        child.stream_id = self.stream_id
+        bits = np.random.PCG64(0)
+        bits.state = self._gen.bit_generator.state
+        child._gen = np.random.Generator(bits)
+        return child
+
     # Draw helpers: thin wrappers so policies never touch the generator.
     def random(self, size: int | None = None):
         return self._gen.random(size)
+
+    def random_prefix(self, m: int, n: int) -> np.ndarray:
+        """The first ``m`` of ``n`` uniforms in [0, 1); the other ``n - m``
+        are skipped, not drawn, and the stream continues as after
+        ``random(n)``. Each double takes one PCG64 output, so the skip is
+        one ``advance``; ``random_prefix(0, k)`` skips k draws. Exact on a
+        stream that draws doubles only: ``advance`` also drops the half
+        output that a 32-bit draw leaves buffered."""
+        if not 0 <= m <= n:
+            raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
+        values = self._gen.random(m)
+        if m < n:
+            self._gen.bit_generator.advance(n - m)
+        return values
 
     def uniform(self, low: float, high: float, size: int | None = None):
         return self._gen.uniform(low, high, size)

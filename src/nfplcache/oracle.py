@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CacheState, Trace
+from .topk import top_c_indices
 
 
 def opt_static(trace: Trace, cache_capacity: int) -> tuple[CacheState, int]:
@@ -24,7 +25,7 @@ def opt_static(trace: Trace, cache_capacity: int) -> tuple[CacheState, int]:
     if cache_capacity >= n:
         raise ValueError("cache capacity must be smaller than the catalog")
     counts = np.bincount(trace.requests, minlength=n)
-    top = np.lexsort((np.arange(n), -counts))[:cache_capacity]
+    top = top_c_indices(counts, cache_capacity)
     misses = len(trace) - int(counts[top].sum())
     return CacheState(frozenset(int(f) for f in top)), misses
 

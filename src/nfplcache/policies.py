@@ -9,8 +9,13 @@ counted request. The three noise couplings share that skeleton:
 
 * ``static``  - gamma stays at its initial draw; the top-C view is
   maintained incrementally through a heap.
-* ``dynamic`` - gamma is redrawn i.i.d. at every refresh; the top-C is
-  recomputed in full (:func:`~nfplcache.topk.top_c_indices`).
+* ``dynamic`` - gamma is redrawn i.i.d. at every refresh, and the top-C
+  is ranked afresh (:func:`~nfplcache.topk.top_c_indices`), but only
+  among the files that can still enter the cache: at least C files count
+  a floor or more, so a file with ``count + eta < floor`` ranks below
+  them whatever its noise. Only files up to the last such candidate draw
+  their noise; the stream skips the rest, and ``gamma`` replays the full
+  draw when it is read.
 * ``lazy``    - gamma is the unique value in [0, eta) that keeps
   ``counts + gamma`` on the grid ``gamma0 + eta * Z``; the perturbed
   count of a file moves only when its count crosses a grid line, so
@@ -25,7 +30,8 @@ hits raise a score in place through :class:`~nfplcache.topk.TopCTracker`'s
 increase-key protocol; the tracker is called only to sift a member at an
 inner heap node or to swap in a non-member that beats the weakest member.
 At B = 1 lazy noise sends a counted file to the refresh only when its count
-may have crossed its grid line.
+may have crossed its grid line. Dynamic noise holds its cache fixed within a
+batch, so it scores and counts a batch without a per-request Python loop.
 
 Each policy's one simulation loop is ``run_block(t0, requests, observed)``,
 which feeds a block of requests and returns its misses; where the blocks
@@ -38,6 +44,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import replace
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +62,30 @@ class PolicyStep(NamedTuple):
     observed: bool
     hit: bool
     cache_after: object  # live view of the cache; copy before mutating anything
+
+
+def _top_of_candidates(counts, candidates, floor, eta, capacity, noise):
+    """The dynamic refresh's ranking, restricted to the files that can
+    enter the cache; returns the kept candidates and the new top ids.
+
+    ``candidates`` are sorted ids; those with ``counts + eta >= floor``
+    are kept, and the top ``capacity`` of ``counts + noise`` among them
+    under (score desc, id asc) are the top of all files, given that noise
+    lies in [0, eta) and that at least ``capacity`` files, all candidates,
+    count at least ``floor``. Those files score at least ``floor``, while a
+    file that fails the filter scores at most ``count + eta`` as rounded,
+    below ``floor``. The rule must not be strict: ``999_999 + (1 - 2**-53)``
+    rounds to ``1_000_000.0``, so a file whose ``count + eta`` equals the
+    floor can tie a cached file and win on its lower id. ``noise(m)`` gives
+    the noise of files 0..m-1; only files up to the last candidate draw.
+    """
+    kept_counts = counts[candidates]
+    keep = kept_counts + eta >= floor
+    if not keep.all():
+        candidates = candidates[keep]
+        kept_counts = kept_counts[keep]
+    values = kept_counts + noise(int(candidates[-1]) + 1)[candidates]
+    return candidates, candidates[top_c_indices(values, capacity)]
 
 
 class _BlockPolicy:
@@ -111,18 +142,20 @@ class NfplPolicy(_BlockPolicy):
         self._mode = config.noise_mode
 
         if gamma0 is None:
+            # no check needed: uniform(0, eta) is eta * random() < eta
             gamma0 = rng.uniform(0.0, self.eta, n)
-        gamma0 = np.asarray(gamma0, dtype=float)
-        if gamma0.shape != (n,):
-            raise ValueError(f"gamma0 must have one entry per file, got {gamma0.shape}")
-        if gamma0.min() < 0.0 or gamma0.max() >= self.eta:
-            raise ValueError("gamma0 entries must lie in [0, eta)")
+        else:
+            gamma0 = np.asarray(gamma0, dtype=float)
+            if gamma0.shape != (n,):
+                raise ValueError(f"gamma0 must have one entry per file, got {gamma0.shape}")
+            if gamma0.min() < 0.0 or gamma0.max() >= self.eta:
+                raise ValueError("gamma0 entries must lie in [0, eta)")
         self.gamma0 = gamma0
 
-        # Sampling bits live on their own substream, drawn block by block
-        # (or per batch in fixed mode), so policy state stays O(N+C)
-        # whatever the horizon.
-        self._beta_rng = rng.substream(1)
+        # Sampling bits live on their own substream, created on first use
+        # (q = 1 never reads it) and drawn block by block (or per batch in
+        # fixed mode), so policy state stays O(N+C) whatever the horizon.
+        self._beta_rng = None
         self._beta = None
         self._batch_bits: list[bool] = []
         self._drawn_batch = -1
@@ -132,31 +165,52 @@ class NfplPolicy(_BlockPolicy):
                 raise ValueError("beta schedule must cover the whole horizon")
             self._beta = beta.tolist()
 
-        # Counts and noise are plain lists for the kernel; the ``counts``
-        # and ``gamma`` properties give numpy copies. Only the dynamic
-        # refresh replaces the noise; lazy mode reads it as its grid.
-        self._counts = [0] * n
-        self._gamma = gamma0.tolist()
         self.flag = False
         self.cache_refreshes = 0
         self.sampled_steps = 0
         self.score_changes = 0
         self._t = 0
-        self._dirty: set[int] = set()  # lazy: files the next refresh checks
-        self._pending: list[tuple[int, int]] = []  # (evicted, admitted) not yet applied
-        self._unsynced: list[int] = []  # dynamic: counted ids not yet in _counts_np
 
         if self._mode == "dynamic":
             self.tracker = None
-            # int64 mirror of the counts for the refresh's vector sum
-            self._counts_np = np.zeros(n, dtype=np.int64)
-            self.cache = set(top_c_indices(gamma0, config.cache_capacity).tolist())
+            self._gamma = gamma0  # the last draw; None until read if only a prefix was drawn
+            # Counts live in a float64 array (exact below 2**53, and no
+            # int-to-float cast in the refresh's sums), brought up to date
+            # from the counted ids at each refresh.
+            self._counts_np = np.zeros(n)
+            self._unsynced: list[int] = []  # counted ids not yet in _counts_np
+            self._top = top_c_indices(gamma0, config.cache_capacity)
+            self.cache = set(self._top.tolist())
+            # The refresh's filter (see _top_of_candidates): a floor that at
+            # least C files' counts reach, and the number of counted
+            # requests, which while it is small shows without a gather that
+            # every file is a candidate.
+            self._floor = 0
+            self._synced_total = 0
+            self._candidates = None  # sorted ids that can enter the cache; None: all
+            self._is_candidate = None  # their bool mask
+            # A prefix draw leaves the rest of gamma to be rebuilt on read
+            # from a snapshot of the stream, taken before the first such
+            # draw, and the number of uniforms drawn since.
+            self._noise_origin = None
+            self._noise_drawn = 0
         else:
+            # Counts and noise are plain lists for the kernel; the
+            # ``counts`` and ``gamma`` properties give numpy copies. Lazy
+            # mode reads the noise as its grid.
+            self._counts = [0] * n
+            self._gamma = gamma0.tolist()
+            self._dirty: set[int] = set()  # lazy: files the next refresh checks
+            self._pending: list[tuple[int, int]] = []  # (evicted, admitted) not yet applied
             self.tracker = TopCTracker(self._gamma, config.cache_capacity)
             self.cache = self.tracker.members()
 
     @property
     def counts(self) -> np.ndarray:
+        if self._mode == "dynamic":
+            counts = self._counts_np.astype(np.int64)
+            np.add.at(counts, np.array(self._unsynced, dtype=np.intp), 1)
+            return counts
         return np.array(self._counts, dtype=np.int64)
 
     @property
@@ -165,6 +219,11 @@ class NfplPolicy(_BlockPolicy):
             # the perturbed count less the count; at a batch boundary this
             # is the offset in [0, eta) that puts the count on its grid
             return np.array(self.tracker.scores) - self.counts
+        if self._gamma is None:
+            # dynamic, after a prefix draw: replay the refresh's full draw
+            stream = self._noise_origin.snapshot()
+            stream.random_prefix(0, self._noise_drawn - self.n_files)
+            self._gamma = self.eta * stream.random(self.n_files)
         return np.array(self._gamma, dtype=float)
 
     @property
@@ -187,7 +246,7 @@ class NfplPolicy(_BlockPolicy):
             q = self.config.sample_prob
             if q >= 1.0:
                 return observed
-            bits = iter(self._beta_rng.bernoulli(q, sum(observed)).tolist())
+            bits = iter(self._sampling_rng().bernoulli(q, sum(observed)).tolist())
             return [o and next(bits) for o in observed]
         batch = self._batch
         if b == batch:
@@ -198,7 +257,7 @@ class NfplPolicy(_BlockPolicy):
                 i = t // batch
                 if i != self._drawn_batch:
                     bits = [False] * batch
-                    for pos in self._beta_rng.permutation(batch)[:b]:
+                    for pos in self._sampling_rng().permutation(batch)[:b]:
                         bits[pos] = True
                     self._batch_bits = bits
                     self._drawn_batch = i
@@ -206,13 +265,76 @@ class NfplPolicy(_BlockPolicy):
             counted.append(o)
         return counted
 
+    def _sampling_rng(self) -> RngStream:
+        if self._beta_rng is None:
+            self._beta_rng = self._rng.substream(1)
+        return self._beta_rng
+
     def _redraw(self) -> set[int]:
-        """Dynamic refresh: fresh noise, then the top C of counts + noise."""
-        gamma = self._rng.uniform(0.0, self.eta, self.n_files)
-        self._gamma = gamma
-        np.add.at(self._counts_np, self._unsynced, 1)
-        self._unsynced.clear()
-        top = top_c_indices(self._counts_np + gamma, self.config.cache_capacity)
+        """Dynamic refresh: fresh noise, then the top C of counts + noise.
+
+        Once some file can no longer enter the cache, only the candidates,
+        the files that can, are ranked, and only files up to the last
+        candidate draw noise (see :func:`_top_of_candidates`). Counts only
+        grow and the floor only rises, so a file that fails the filter
+        stays out until it is counted again: each refresh filters the last
+        refresh's candidates plus the ids counted since.
+        """
+        n = self.n_files
+        eta = self.eta
+        capacity = self.config.cache_capacity
+        counts = self._counts_np
+        unsynced = self._unsynced
+        if len(unsynced) < 16:  # a loop, below np.add.at's fixed cost
+            ids = unsynced[:]
+            for f in ids:
+                counts[f] += 1.0
+        else:
+            ids = np.array(unsynced, dtype=np.intp)
+            np.add.at(counts, ids, 1.0)
+        unsynced.clear()
+        candidates = self._candidates
+        if candidates is None:
+            # Every file is kept while the smallest count is within eta of
+            # the floor. The floor is at most the mean cached count, so
+            # while the count total is at most eta * C no gather is needed.
+            self._synced_total += len(ids)
+            all_kept = self._synced_total <= eta * capacity
+            if not all_kept:
+                floor = int(counts[self._top].min())
+                all_kept = counts.min() + eta >= floor
+            if all_kept:
+                # eta * random(n) is uniform(0, eta, n) bit for bit
+                gamma = self._gamma = eta * self._rng.random(n)
+                self._top = top_c_indices(counts + gamma, capacity)
+                return set(self._top.tolist())
+            # a file fell out of reach: from here on only candidates draw
+            self._floor = floor
+            candidates = np.arange(n)
+            self._is_candidate = np.ones(n, dtype=bool)
+            self._noise_origin = self._rng.snapshot()
+        else:
+            ids = np.asarray(ids, dtype=np.intp)
+            is_candidate = self._is_candidate
+            fresh = ids[~is_candidate[ids]]
+            if len(fresh):
+                is_candidate[fresh] = True
+                candidates = np.flatnonzero(is_candidate)
+            # C files reach the floor: the cached files reach their least
+            # count, and the files that reached an earlier floor still do
+            floor = self._floor = max(self._floor, int(counts[self._top].min()))
+        rng = self._rng
+        kept, top = _top_of_candidates(
+            counts, candidates, floor, eta, capacity,
+            lambda m: eta * rng.random_prefix(m, n),
+        )
+        if len(kept) < len(candidates):
+            self._is_candidate[candidates] = False
+            self._is_candidate[kept] = True
+        self._candidates = kept
+        self._top = top
+        self._gamma = None
+        self._noise_drawn += n
         return set(top.tolist())
 
     def run_block(self, t0: int, requests, observed) -> int:
@@ -220,23 +342,58 @@ class NfplPolicy(_BlockPolicy):
             raise ValueError(
                 f"steps must arrive in order: expected t={self._t + 1}, got {t0 + 1}"
             )
-        t = t0
         end = t0 + len(requests)
         if end > self.horizon:
             raise ValueError(f"t={end} beyond horizon {self.horizon}")
+        if self._mode == "dynamic":
+            misses = self._run_batches(t0, requests, observed)
+        else:
+            misses = self._run_requests(t0, requests, observed)
+        self._t = end
+        return misses
+
+    def _run_batches(self, t0: int, requests, observed) -> int:
+        """Dynamic noise. The cache is fixed within a batch, so each
+        batch-aligned chunk of the block is scored and counted at C level;
+        the counted ids wait in ``_unsynced`` for the refresh."""
+        counted = self._counted(t0, observed)
+        unsynced = self._unsynced
+        batch = self._batch
+        contains = self.cache.__contains__
+        n = len(requests)
+        hits = refreshes = 0
+        sampled = -len(unsynced)
+        lo = 0
+        hi = batch - t0 % batch  # offset of the first batch boundary after t0
+        while lo < n:
+            chunk = requests[lo:hi]
+            hits += sum(map(contains, chunk))
+            unsynced.extend(compress(chunk, counted[lo:hi]))
+            if hi <= n and unsynced:
+                sampled += len(unsynced)
+                refreshes += 1
+                self.cache = self._redraw()
+                contains = self.cache.__contains__
+            lo = hi
+            hi += batch
+        self.flag = bool(unsynced)
+        self.sampled_steps += sampled + len(unsynced)
+        self.cache_refreshes += refreshes
+        return n - hits
+
+    def _run_requests(self, t0: int, requests, observed) -> int:
+        """Static and lazy noise: one pass over the requests."""
+        t = t0
         cache = self.cache
         counts = self._counts
         static = self._mode == "static"
-        lazy = self._mode == "lazy"
         tracker = self.tracker
-        if tracker is not None:
-            bump = tracker.bump
-            scores = tracker.scores
-            heap = tracker.heap
-            pos = tracker.pos
-            sift_down = tracker.sift_down
-            inner = len(heap) // 2  # heap[i] is a leaf from here on
-        unsynced = self._unsynced
+        bump = tracker.bump
+        scores = tracker.scores
+        heap = tracker.heap
+        pos = tracker.pos
+        sift_down = tracker.sift_down
+        inner = len(heap) // 2  # heap[i] is a leaf from here on
         pending = self._pending
         dirty = self._dirty
         grid = self._gamma  # lazy: gamma0, never rewritten
@@ -276,8 +433,8 @@ class NfplPolicy(_BlockPolicy):
                             scores[f] = s
                         else:
                             pending.append(bump(f, s))
-                elif lazy:
-                    # At B = 1 a file joins only if its count may have
+                else:
+                    # At B = 1 a lazy file joins only if its count may have
                     # crossed its grid line gamma0 + eta * k, its score s:
                     # a count c <= s - 0.5 keeps ceil((c - gamma0) / eta)
                     # <= k, as rounding moves that quotient by far less
@@ -288,41 +445,34 @@ class NfplPolicy(_BlockPolicy):
                     # another order than the set of all counted files.
                     if every_counted or counts[f] + 0.5 > scores[f]:
                         dirty.add(f)
-                else:
-                    unsynced.append(f)
             if t == boundary:
                 boundary += batch
                 if flag:
                     flag = False
                     refreshes += 1
-                    if lazy:
-                        # move each such file back onto its grid; the
-                        # score rises only when the count crossed a line
-                        if dirty:
-                            for g in dirty:
-                                g0 = grid[g]
-                                new_score = g0 + eta * ceil((counts[g] - g0) / eta)
-                                if new_score > scores[g]:
-                                    changes += 1
-                                    swap = bump(g, new_score)
-                                    if swap[0] is not None:
-                                        pending.append(swap)
-                            dirty.clear()
-                    elif not static:
-                        cache = self.cache = self._redraw()
+                    if dirty:
+                        # lazy: move each such file back onto its grid;
+                        # the score rises only when the count crossed a line
+                        for g in dirty:
+                            g0 = grid[g]
+                            new_score = g0 + eta * ceil((counts[g] - g0) / eta)
+                            if new_score > scores[g]:
+                                changes += 1
+                                swap = bump(g, new_score)
+                                if swap[0] is not None:
+                                    pending.append(swap)
+                        dirty.clear()
                     if pending:
                         for evicted, admitted in pending:
                             cache.discard(evicted)
                             cache.add(admitted)
                         pending.clear()
 
-        self._t = t
         self.flag = flag
         self.sampled_steps += sampled
         self.score_changes += changes
         self.cache_refreshes += refreshes
-        if tracker is not None:
-            tracker.op_counter += ops
+        tracker.op_counter += ops
         return misses
 
 

@@ -10,7 +10,8 @@ raise scores through the tracker's public views without a call when
 nothing can move (see :class:`TopCTracker`).
 
 :func:`top_c_indices` is the one-shot counterpart for a score vector
-that is redrawn wholesale, as dynamic noise does at every refresh.
+ranked once: the candidates of a dynamic-noise refresh, whose noise is
+redrawn wholesale, and the request counts of the static optimum.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def top_c_indices(values: np.ndarray, c: int) -> np.ndarray:
     if c >= n:
         return np.arange(n)
     kth = np.partition(values, n - c)[n - c]
-    candidates = np.flatnonzero(values >= kth)
+    candidates = (values >= kth).nonzero()[0]  # flatnonzero, without its wrappers
     if len(candidates) > c:
         order = np.lexsort((candidates, -values[candidates]))
         candidates = candidates[order[:c]]

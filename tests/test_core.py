@@ -94,6 +94,30 @@ def test_bernoulli_bits_match_one_uniform_draw(size):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("m", [0, 1, 9, 10])
+def test_random_prefix_matches_one_uniform_draw(m):
+    # the first m of one random(10) draw, and the stream continues after
+    # all ten; m = 0 skips ten draws
+    s = spawn_stream(4, 1)
+    got = np.concatenate([s.random_prefix(m, 10), s.random(5)])
+    full = spawn_stream(4, 1).random(15)
+    assert np.array_equal(got, np.concatenate([full[:m], full[10:]]))
+
+
+def test_random_prefix_rejects_a_prefix_longer_than_the_draw():
+    with pytest.raises(ValueError):
+        spawn_stream(4, 1).random_prefix(3, 2)
+
+
+def test_snapshot_continues_from_the_current_position():
+    s = spawn_stream(6, 1)
+    s.random(3)
+    copy = s.snapshot()
+    ahead = s.random(4)
+    assert np.array_equal(copy.random(4), ahead)
+    assert np.array_equal(copy.random(2), s.random(2))
+
+
 def test_catalog_requires_files():
     with pytest.raises(ValueError):
         Catalog(0)

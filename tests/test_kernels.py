@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nfplcache.core import Catalog, PolicyConfig, spawn_stream
+from nfplcache.core import Catalog, PolicyConfig, RngStream, spawn_stream
 from nfplcache.policies import LfuPolicy, make_policy
 from nfplcache.topk import TopCTracker
 from nfplcache.traces import gen_zipf
@@ -298,6 +298,7 @@ def check_blocks_against_reference(name, scenario, seed, **hooks):
         assert total == ref_misses[hi - 1]
         assert state(pol, with_gamma(hi)) == ref_states[hi]
         assert len(pol.cache) == config.cache_capacity
+    return pol
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -335,6 +336,44 @@ def test_lazy_refresh_bump_order_at_large_batches(seed):
     requests = (rng.zipf(1.2, horizon) % n).tolist()
     scenario = (n, config, requests, [True] * horizon, [0, 1234, horizon])
     check_blocks_against_reference("l-nfpl", scenario, seed)
+
+
+@pytest.mark.parametrize(
+    "n, horizon, batch, eta, p, sampling, seed",
+    [
+        (50, 2000, 5, 0.5, 1.0, {"sample_prob": 0.7}, 0),
+        (80, 3000, 7, 0.75, 0.5, {"sample_prob": 0.5}, 1),
+        (120, 5000, 20, 1.0, 0.5, {}, 2),
+        (200, 4000, 10, 1.5, 0.5, {"fixed_per_batch": 3}, 3),
+        (300, 5000, 50, 2.0, 1.0, {"fixed_per_batch": 10}, 4),
+    ],
+)
+def test_dynamic_refresh_over_long_runs_ranks_only_candidates(
+    monkeypatch, n, horizon, batch, eta, p, sampling, seed
+):
+    # Long enough for the counts to spread more than eta apart, so that
+    # refreshes exclude files and draw a strict prefix of the noise; the
+    # reference still draws and ranks all N files. Cuts fall mid-batch, and
+    # each one compares misses, counts, the cache and the full gamma.
+    draws = []
+    prefix = RngStream.random_prefix
+
+    def spy(stream, m, size):
+        draws.append((m, size))
+        return prefix(stream, m, size)
+
+    monkeypatch.setattr(RngStream, "random_prefix", spy)
+    config = PolicyConfig(cache_capacity=max(2, n // 20), batch_size=batch, observe_prob=p,
+                          eta=eta, **sampling)
+    rng = np.random.default_rng(seed)
+    requests = (rng.zipf(1.2, horizon) % n).tolist()
+    observed = (rng.random(horizon) < p).tolist()
+    cuts = sorted({int(x) for x in rng.integers(1, horizon, 12)} - {horizon})
+    assert any(cut % batch for cut in cuts)
+    scenario = (n, config, requests, observed, [0, *cuts, horizon])
+    pol = check_blocks_against_reference("d-nfpl", scenario, seed)
+    assert len(pol._candidates) < n
+    assert any(0 < m < n for m, size in draws if size == n)
 
 
 def test_lfu_heap_stays_at_capacity_over_a_long_trace():

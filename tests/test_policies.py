@@ -9,8 +9,10 @@ from nfplcache.policies import (
     LfuPolicy,
     LruPolicy,
     NfplPolicy,
+    _top_of_candidates,
     make_policy,
 )
+from nfplcache.topk import top_c_indices
 from nfplcache.traces import gen_zipf
 
 
@@ -186,6 +188,27 @@ def test_dynamic_noise_redraws_at_refresh():
     assert pol.cache_refreshes == 3
     assert not np.array_equal(pol.gamma, g0)
     assert pol.gamma.min() >= 0.0 and pol.gamma.max() < 3.0
+
+
+def test_candidate_filter_keeps_a_file_that_ties_the_floor_by_rounding():
+    # File 1 is cached at count 10**6 with noise 0. File 0 counts one less,
+    # so count + eta equals the floor, yet its noise 1 - 2**-53 rounds its
+    # score up to 10**6: it ties file 1 and wins on its lower id. A strict
+    # rule (keep count + eta > floor) would drop it and keep file 1.
+    counts = np.array([999_999, 1_000_000, 5], dtype=np.int64)
+    noise = np.array([1.0 - 2.0**-53, 0.0, 0.5])
+    floor, eta = 1_000_000, 1.0
+    assert counts[0] + noise[0] == floor
+    asked = []
+
+    def prefix(m):
+        asked.append(m)
+        return noise[:m]
+
+    kept, top = _top_of_candidates(counts, np.arange(3), floor, eta, 1, prefix)
+    assert kept.tolist() == [0, 1]
+    assert asked == [2]  # file 2 is out of reach and draws no noise
+    assert top.tolist() == [0] == top_c_indices(counts + noise, 1).tolist()
 
 
 def test_lazy_gamma_equals_gamma0_before_any_count():
