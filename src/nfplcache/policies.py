@@ -10,12 +10,12 @@ counted request. The three noise couplings share that skeleton:
 * ``static``  - gamma stays at its initial draw; the top-C view is
   maintained incrementally through a heap.
 * ``dynamic`` - gamma is redrawn i.i.d. at every refresh, and the top-C
-  is ranked afresh (:func:`~nfplcache.topk.top_c_indices`), but only
-  among the files that can still enter the cache: at least C files count
-  a floor or more, so a file with ``count + eta < floor`` ranks below
-  them whatever its noise. Only files up to the last such candidate draw
-  their noise; the stream skips the rest, and ``gamma`` replays the full
-  draw when it is read.
+  is ranked afresh (:func:`~nfplcache.topk.top_c_indices`). In a large
+  catalog only the files that can still enter the cache are ranked: at
+  least C files count a floor or more, so a file with
+  ``count + eta < floor`` ranks below them whatever its noise. Only files
+  up to the last such candidate draw their noise; the stream skips the
+  rest, and ``gamma`` replays the full draw when it is read.
 * ``lazy``    - gamma is the unique value in [0, eta) that keeps
   ``counts + gamma`` on the grid ``gamma0 + eta * Z``; the perturbed
   count of a file moves only when its count crosses a grid line, so
@@ -30,8 +30,9 @@ hits raise a score in place through :class:`~nfplcache.topk.TopCTracker`'s
 increase-key protocol; the tracker is called only to sift a member at an
 inner heap node or to swap in a non-member that beats the weakest member.
 At B = 1 lazy noise sends a counted file to the refresh only when its count
-may have crossed its grid line. Dynamic noise holds its cache fixed within a
-batch, so it scores and counts a batch without a per-request Python loop.
+may have crossed its grid line. Dynamic noise changes its cache only at the
+end of a batch that counted a request, so it scores and counts the requests
+in between without a per-request Python loop.
 
 Each policy's one simulation loop is ``run_block(t0, requests, observed)``,
 which feeds a block of requests and returns its misses; where the blocks
@@ -64,28 +65,31 @@ class PolicyStep(NamedTuple):
     cache_after: object  # live view of the cache; copy before mutating anything
 
 
-def _top_of_candidates(counts, candidates, floor, eta, capacity, noise):
-    """The dynamic refresh's ranking, restricted to the files that can
-    enter the cache; returns the kept candidates and the new top ids.
+# Below this catalog size a dynamic refresh ranks every file: drawing and
+# ranking N values then costs less than keeping the candidate set. On zipf
+# traces at B = 1 and 10 the two broke even between N = 1000 and 2000; at
+# N = 100 to 600 the candidate set cost up to a quarter more.
+_MIN_FILES_FOR_CANDIDATES = 1500
 
-    ``candidates`` are sorted ids; those with ``counts + eta >= floor``
-    are kept, and the top ``capacity`` of ``counts + noise`` among them
-    under (score desc, id asc) are the top of all files, given that noise
-    lies in [0, eta) and that at least ``capacity`` files, all candidates,
-    count at least ``floor``. Those files score at least ``floor``, while a
-    file that fails the filter scores at most ``count + eta`` as rounded,
-    below ``floor``. The rule must not be strict: ``999_999 + (1 - 2**-53)``
-    rounds to ``1_000_000.0``, so a file whose ``count + eta`` equals the
-    floor can tie a cached file and win on its lower id. ``noise(m)`` gives
-    the noise of files 0..m-1; only files up to the last candidate draw.
+
+def _in_reach(counts, ids, floor, eta):
+    """Which of ``ids`` can still enter a dynamic-noise cache.
+
+    At least C files count ``floor`` or more, so they score at least
+    ``floor`` whatever their noise in [0, eta), while a file with
+    ``count + eta < floor`` (as rounded) scores below it. The rule must not
+    be strict: ``999_999 + (1 - 2**-53)`` rounds to ``1_000_000.0``, so a
+    file whose ``count + eta`` equals the floor can tie a cached file and
+    win on its lower id.
     """
-    kept_counts = counts[candidates]
-    keep = kept_counts + eta >= floor
-    if not keep.all():
-        candidates = candidates[keep]
-        kept_counts = kept_counts[keep]
-    values = kept_counts + noise(int(candidates[-1]) + 1)[candidates]
-    return candidates, candidates[top_c_indices(values, capacity)]
+    return counts[ids] + eta >= floor
+
+
+def _top_by_noise(counts, candidates, capacity, noise):
+    """The top ``capacity`` of the sorted ids ``candidates`` under
+    (count + noise desc, id asc); ``noise`` is indexed by id and needs to
+    cover only the ids up to the last candidate."""
+    return candidates[top_c_indices(counts[candidates] + noise[candidates], capacity)]
 
 
 class _BlockPolicy:
@@ -181,12 +185,9 @@ class NfplPolicy(_BlockPolicy):
             self._unsynced: list[int] = []  # counted ids not yet in _counts_np
             self._top = top_c_indices(gamma0, config.cache_capacity)
             self.cache = set(self._top.tolist())
-            # The refresh's filter (see _top_of_candidates): a floor that at
-            # least C files' counts reach, and the number of counted
-            # requests, which while it is small shows without a gather that
-            # every file is a candidate.
+            # the refresh's filter (see _in_reach): a floor that at least C
+            # files' counts reach
             self._floor = 0
-            self._synced_total = 0
             self._candidates = None  # sorted ids that can enter the cache; None: all
             self._is_candidate = None  # their bool mask
             # A prefix draw leaves the rest of gamma to be rebuilt on read
@@ -273,12 +274,12 @@ class NfplPolicy(_BlockPolicy):
     def _redraw(self) -> set[int]:
         """Dynamic refresh: fresh noise, then the top C of counts + noise.
 
-        Once some file can no longer enter the cache, only the candidates,
-        the files that can, are ranked, and only files up to the last
-        candidate draw noise (see :func:`_top_of_candidates`). Counts only
-        grow and the floor only rises, so a file that fails the filter
-        stays out until it is counted again: each refresh filters the last
-        refresh's candidates plus the ids counted since.
+        Once some file is out of reach (:func:`_in_reach`) in a catalog of
+        at least ``_MIN_FILES_FOR_CANDIDATES`` files, only the candidates
+        are ranked, and only files up to the last candidate draw noise.
+        Every other file is out of reach: counts only grow and the floor
+        only rises, so a file stays out until it is counted again, and a
+        counted file joins when its count reaches the floor.
         """
         n = self.n_files
         eta = self.eta
@@ -295,11 +296,9 @@ class NfplPolicy(_BlockPolicy):
         unsynced.clear()
         candidates = self._candidates
         if candidates is None:
-            # Every file is kept while the smallest count is within eta of
-            # the floor. The floor is at most the mean cached count, so
-            # while the count total is at most eta * C no gather is needed.
-            self._synced_total += len(ids)
-            all_kept = self._synced_total <= eta * capacity
+            # every file is in reach while the smallest count is within eta
+            # of the floor
+            all_kept = n < _MIN_FILES_FOR_CANDIDATES
             if not all_kept:
                 floor = int(counts[self._top].min())
                 all_kept = counts.min() + eta >= floor
@@ -310,29 +309,30 @@ class NfplPolicy(_BlockPolicy):
                 return set(self._top.tolist())
             # a file fell out of reach: from here on only candidates draw
             self._floor = floor
-            candidates = np.arange(n)
-            self._is_candidate = np.ones(n, dtype=bool)
+            self._is_candidate = _in_reach(counts, np.arange(n), floor, eta)
+            candidates = np.flatnonzero(self._is_candidate)
             self._noise_origin = self._rng.snapshot()
         else:
-            ids = np.asarray(ids, dtype=np.intp)
             is_candidate = self._is_candidate
-            fresh = ids[~is_candidate[ids]]
-            if len(fresh):
-                is_candidate[fresh] = True
-                candidates = np.flatnonzero(is_candidate)
             # C files reach the floor: the cached files reach their least
             # count, and the files that reached an earlier floor still do
-            floor = self._floor = max(self._floor, int(counts[self._top].min()))
-        rng = self._rng
-        kept, top = _top_of_candidates(
-            counts, candidates, floor, eta, capacity,
-            lambda m: eta * rng.random_prefix(m, n),
-        )
-        if len(kept) < len(candidates):
-            self._is_candidate[candidates] = False
-            self._is_candidate[kept] = True
-        self._candidates = kept
-        self._top = top
+            floor = max(self._floor, int(counts[self._top].min()))
+            if floor > self._floor:
+                keep = _in_reach(counts, candidates, floor, eta)
+                if not keep.all():
+                    is_candidate[candidates[~keep]] = False
+                    candidates = candidates[keep]
+                self._floor = floor
+            ids = np.asarray(ids, dtype=np.intp)
+            fresh = ids[~is_candidate[ids]]
+            if len(fresh):
+                fresh = fresh[_in_reach(counts, fresh, floor, eta)]
+                if len(fresh):
+                    is_candidate[fresh] = True
+                    candidates = np.flatnonzero(is_candidate)
+        self._candidates = candidates
+        noise = eta * self._rng.random_prefix(int(candidates[-1]) + 1, n)
+        top = self._top = _top_by_noise(counts, candidates, capacity, noise)
         self._gamma = None
         self._noise_drawn += n
         return set(top.tolist())
@@ -353,9 +353,12 @@ class NfplPolicy(_BlockPolicy):
         return misses
 
     def _run_batches(self, t0: int, requests, observed) -> int:
-        """Dynamic noise. The cache is fixed within a batch, so each
-        batch-aligned chunk of the block is scored and counted at C level;
-        the counted ids wait in ``_unsynced`` for the refresh."""
+        """Dynamic noise. The cache changes only at the end of a batch that
+        counted a request, so the block is cut into chunks that each run to
+        the end of the batch holding the next counted request (or to the
+        first boundary, when counted ids wait from the last block). A chunk
+        is scored and counted at C level; its counted ids wait in
+        ``_unsynced`` for the refresh."""
         counted = self._counted(t0, observed)
         unsynced = self._unsynced
         batch = self._batch
@@ -364,18 +367,25 @@ class NfplPolicy(_BlockPolicy):
         hits = refreshes = 0
         sampled = -len(unsynced)
         lo = 0
-        hi = batch - t0 % batch  # offset of the first batch boundary after t0
         while lo < n:
+            if unsynced:
+                k = lo
+            else:
+                try:
+                    k = counted.index(True, lo)
+                except ValueError:
+                    k = n
+            hi = ((t0 + k) // batch + 1) * batch - t0  # the end of k's batch
             chunk = requests[lo:hi]
             hits += sum(map(contains, chunk))
             unsynced.extend(compress(chunk, counted[lo:hi]))
-            if hi <= n and unsynced:
-                sampled += len(unsynced)
-                refreshes += 1
-                self.cache = self._redraw()
-                contains = self.cache.__contains__
+            if hi > n:
+                break
+            sampled += len(unsynced)
+            refreshes += 1
+            self.cache = self._redraw()
+            contains = self.cache.__contains__
             lo = hi
-            hi += batch
         self.flag = bool(unsynced)
         self.sampled_steps += sampled + len(unsynced)
         self.cache_refreshes += refreshes

@@ -9,7 +9,8 @@ from nfplcache.policies import (
     LfuPolicy,
     LruPolicy,
     NfplPolicy,
-    _top_of_candidates,
+    _in_reach,
+    _top_by_noise,
     make_policy,
 )
 from nfplcache.topk import top_c_indices
@@ -199,15 +200,9 @@ def test_candidate_filter_keeps_a_file_that_ties_the_floor_by_rounding():
     noise = np.array([1.0 - 2.0**-53, 0.0, 0.5])
     floor, eta = 1_000_000, 1.0
     assert counts[0] + noise[0] == floor
-    asked = []
-
-    def prefix(m):
-        asked.append(m)
-        return noise[:m]
-
-    kept, top = _top_of_candidates(counts, np.arange(3), floor, eta, 1, prefix)
+    kept = np.flatnonzero(_in_reach(counts, np.arange(3), floor, eta))
     assert kept.tolist() == [0, 1]
-    assert asked == [2]  # file 2 is out of reach and draws no noise
+    top = _top_by_noise(counts, kept, 1, noise[:2])  # file 2 draws no noise
     assert top.tolist() == [0] == top_c_indices(counts + noise, 1).tolist()
 
 
