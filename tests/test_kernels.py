@@ -21,8 +21,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nfplcache.core import Catalog, PolicyConfig, RngStream, spawn_stream
 from nfplcache import policies
+from nfplcache.core import Catalog, PolicyConfig, RngStream, spawn_stream
 from nfplcache.policies import LfuPolicy, make_policy
 from nfplcache.topk import TopCTracker
 from nfplcache.traces import gen_zipf
