@@ -10,9 +10,9 @@ counted request. The three noise couplings share that skeleton:
 * ``static``  - gamma stays at its initial draw; the top-C view is
   maintained incrementally through a heap.
 * ``dynamic`` - gamma is redrawn i.i.d. at every refresh, and the top-C
-  is ranked afresh (:func:`~nfplcache.topk.top_c_indices`). In a large
-  catalog only the files that can still enter the cache are ranked: at
-  least C files count a floor or more, so a file with
+  is ranked afresh (:func:`~nfplcache.topk.top_c_indices`). Only the
+  files that can still enter the cache are ranked: at least C files
+  count a floor or more, so a file with
   ``count + eta < floor`` ranks below them whatever its noise. Only files
   up to the last such candidate draw their noise; the stream skips the
   rest, and ``gamma`` replays the full draw when it is read.
@@ -63,13 +63,6 @@ class PolicyStep(NamedTuple):
     observed: bool
     hit: bool
     cache_after: object  # live view of the cache; copy before mutating anything
-
-
-# Below this catalog size a dynamic refresh ranks every file: drawing and
-# ranking N values then costs less than keeping the candidate set. On zipf
-# traces at B = 1 and 10 the two broke even between N = 1000 and 2000; at
-# N = 100 to 600 the candidate set cost up to a quarter more.
-_MIN_FILES_FOR_CANDIDATES = 1500
 
 
 def _in_reach(counts, ids, floor, eta):
@@ -274,35 +267,26 @@ class NfplPolicy(_BlockPolicy):
     def _redraw(self) -> set[int]:
         """Dynamic refresh: fresh noise, then the top C of counts + noise.
 
-        Once some file is out of reach (:func:`_in_reach`) in a catalog of
-        at least ``_MIN_FILES_FOR_CANDIDATES`` files, only the candidates
-        are ranked, and only files up to the last candidate draw noise.
-        Every other file is out of reach: counts only grow and the floor
-        only rises, so a file stays out until it is counted again, and a
-        counted file joins when its count reaches the floor.
+        Once some file is out of reach (:func:`_in_reach`), only the
+        candidates are ranked, and only files up to the last candidate draw
+        noise. Every other file is out of reach: counts only grow and the
+        floor only rises, so a file stays out until it is counted again,
+        and a counted file joins when its count reaches the floor.
         """
         n = self.n_files
         eta = self.eta
         capacity = self.config.cache_capacity
         counts = self._counts_np
         unsynced = self._unsynced
-        if len(unsynced) < 16:  # a loop, below np.add.at's fixed cost
-            ids = unsynced[:]
-            for f in ids:
-                counts[f] += 1.0
-        else:
-            ids = np.array(unsynced, dtype=np.intp)
-            np.add.at(counts, ids, 1.0)
+        ids = np.array(unsynced, dtype=np.intp)
+        np.add.at(counts, ids, 1.0)
         unsynced.clear()
         candidates = self._candidates
         if candidates is None:
             # every file is in reach while the smallest count is within eta
             # of the floor
-            all_kept = n < _MIN_FILES_FOR_CANDIDATES
-            if not all_kept:
-                floor = int(counts[self._top].min())
-                all_kept = counts.min() + eta >= floor
-            if all_kept:
+            floor = int(counts[self._top].min())
+            if counts.min() + eta >= floor:
                 # eta * random(n) is uniform(0, eta, n) bit for bit
                 gamma = self._gamma = eta * self._rng.random(n)
                 self._top = top_c_indices(counts + gamma, capacity)
@@ -323,7 +307,6 @@ class NfplPolicy(_BlockPolicy):
                     is_candidate[candidates[~keep]] = False
                     candidates = candidates[keep]
                 self._floor = floor
-            ids = np.asarray(ids, dtype=np.intp)
             fresh = ids[~is_candidate[ids]]
             if len(fresh):
                 fresh = fresh[_in_reach(counts, fresh, floor, eta)]

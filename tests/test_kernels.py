@@ -21,7 +21,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nfplcache import policies
 from nfplcache.core import Catalog, PolicyConfig, RngStream, spawn_stream
 from nfplcache.policies import LfuPolicy, make_policy
 from nfplcache.topk import TopCTracker
@@ -309,16 +308,6 @@ def test_run_block_matches_per_request_reference(name, scenario, seed):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(scenario=scenarios(), seed=st.integers(0, 10**6))
-def test_dynamic_candidates_at_any_catalog_size(scenario, seed):
-    # the candidate path, which the default size gate keeps to large
-    # catalogs, on the small random scenarios
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(policies, "_MIN_FILES_FOR_CANDIDATES", 0)
-        check_blocks_against_reference("d-nfpl", scenario, seed)
-
-
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(name=st.sampled_from(("l-nfpl", "s-nfpl", "fpl")), scenario=scenarios(),
        seed=st.integers(0, 10**6), data=st.data())
 def test_noise_on_a_half_integer_lattice(name, scenario, seed, data):
@@ -357,7 +346,6 @@ def test_lazy_refresh_bump_order_at_large_batches(seed):
         (120, 5000, 20, 1.0, 0.5, {}, 2),
         (200, 4000, 10, 1.5, 0.5, {"fixed_per_batch": 3}, 3),
         (300, 5000, 50, 2.0, 1.0, {"fixed_per_batch": 10}, 4),
-        (2500, 5000, 25, 1.0, 0.5, {"sample_prob": 0.8}, 5),
     ],
 )
 def test_dynamic_refresh_over_long_runs_ranks_only_candidates(
@@ -366,10 +354,7 @@ def test_dynamic_refresh_over_long_runs_ranks_only_candidates(
     # Long enough for the counts to spread more than eta apart, so that
     # refreshes exclude files and draw a strict prefix of the noise; the
     # reference still draws and ranks all N files. Cuts fall mid-batch, and
-    # each one compares misses, counts, the cache and the full gamma. The
-    # smaller catalogs lower the size at which candidates start to N.
-    if n < policies._MIN_FILES_FOR_CANDIDATES:
-        monkeypatch.setattr(policies, "_MIN_FILES_FOR_CANDIDATES", n)
+    # each one compares misses, counts, the cache and the full gamma.
     draws = []
     prefix = RngStream.random_prefix
 
