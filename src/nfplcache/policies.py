@@ -25,10 +25,11 @@ counted request. The three noise couplings share that skeleton:
 
 Every argmax breaks ties toward the lower file id.
 
-The counted path makes no call when nothing can move. Static noise and LFU
-hits raise a score in place through :class:`~nfplcache.topk.TopCTracker`'s
-increase-key protocol; the tracker is called only to sift a member at an
-inner heap node or to swap in a non-member that beats the weakest member.
+The counted path makes no call when nothing can move. Static noise raises a
+score in place through :class:`~nfplcache.topk.TopCTracker`'s increase-key
+protocol; the tracker is called only to sift a member at an inner heap node
+or to swap in a non-member that beats the weakest member. An LFU hit only
+raises a count: its heap keys may lag, and a miss brings the root up to date.
 At B = 1 lazy noise sends a counted file to the refresh only when its count
 may have crossed its grid line. Dynamic noise changes its cache only at the
 end of a batch that counted a request, so it scores and counts the requests
@@ -45,6 +46,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import replace
+from heapq import heapreplace
 from itertools import compress
 from typing import NamedTuple
 
@@ -479,11 +481,17 @@ class LfuPolicy(_BlockPolicy):
     count, which protects established files on churning traces. Starts
     with files 0..C-1 cached.
 
-    The cached files and their counts sit in a :class:`TopCTracker`, whose
-    root is the next victim, so the heap holds exactly C entries.
+    The cached files sit in a ``heapq`` list of exactly C int keys
+    ``count * n + (n - 1 - id)``: the least key is the least count and,
+    among equal counts, the higher id. A hit only raises the count, so a
+    stored key may lag its file's current key but never exceeds it. An
+    observed miss re-keys the root until its key is current, which makes
+    it the true victim. That miss is the only way an id enters the state,
+    and it rejects an id outside ``[0, n)``; an unobserved miss changes
+    nothing and is not checked.
     """
 
-    heap_ops = 0  # the tracker's heap work is not reported yet
+    heap_ops = 0  # heapq calls are not counted; reporting them moves recorded results
     cache_refreshes = 0
     score_changes = 0
 
@@ -493,53 +501,57 @@ class LfuPolicy(_BlockPolicy):
         catalog: Catalog,
         admission_threshold: bool = False,
     ):
-        if cache_capacity >= catalog.n_files:
+        n = catalog.n_files
+        if cache_capacity >= n:
             raise ValueError("cache capacity must be below catalog size")
-        self.counts = [0] * catalog.n_files
+        self.counts = [0] * n
         self.cache = set(range(cache_capacity))
         self.admission_threshold = admission_threshold
         self.sampled_steps = 0
-        self._tracker = TopCTracker([0] * catalog.n_files, cache_capacity)
+        # the keys of files C-1..0 at count 0, ascending and so already a heap
+        self._heap = list(range(n - cache_capacity, n))
 
     def run_block(self, t0: int, requests, observed) -> int:
         cache = self.cache
         counts = self.counts
-        tracker = self._tracker
-        replace_min = tracker.replace_min
-        scores = tracker.scores
-        heap = tracker.heap
-        pos = tracker.pos
-        sift_down = tracker.sift_down
-        inner = len(heap) // 2  # heap[i] is a leaf from here on
+        heap = self._heap
+        n = len(counts)
+        last = n - 1
         threshold = self.admission_threshold
-        misses = sampled = ops = 0
+        misses = sampled = 0
         for f, obs in zip(requests, observed):
-            hit = f in cache
-            if not hit:
-                misses += 1
+            if f in cache:
+                if obs:
+                    sampled += 1
+                    counts[f] += 1
+                continue
+            misses += 1
             if obs:
                 sampled += 1
+                if not 0 <= f < n:
+                    raise ValueError(f"unknown file id {f}")
                 c = counts[f] + 1
                 counts[f] = c
-                if hit:
-                    if f < 0:
-                        tracker.bump(f, c)  # rejects the id
-                    # the tracker's increase-key protocol for a member
-                    scores[f] = c
-                    ops += 1
-                    i = pos[f]
-                    if i < inner:
-                        sift_down(i)
-                elif not threshold or c > scores[heap[0]]:
-                    cache.remove(replace_min(f, c))
+                while True:  # re-key the root until its count is current
+                    stale, r = divmod(heap[0], n)
+                    count = counts[last - r]
+                    if count == stale:
+                        break
+                    heapreplace(heap, count * n + r)
+                if not threshold or c > count:
+                    heapreplace(heap, c * n + last - f)
+                    cache.remove(last - r)
                     cache.add(f)
         self.sampled_steps += sampled
-        tracker.op_counter += ops
         return misses
 
 
 class LruPolicy(_BlockPolicy):
-    """Evict-least-recently-used; recency moves on observed requests only."""
+    """Evict-least-recently-used; recency moves on observed requests only.
+
+    An observed miss with an id outside ``[0, n)`` raises; an unobserved
+    miss changes nothing and is not checked.
+    """
 
     heap_ops = 0
     cache_refreshes = 0
@@ -549,6 +561,7 @@ class LruPolicy(_BlockPolicy):
         if cache_capacity >= catalog.n_files:
             raise ValueError("cache capacity must be below catalog size")
         self._recency = OrderedDict((f, None) for f in range(cache_capacity))
+        self._n = catalog.n_files
         self.sampled_steps = 0
 
     @property
@@ -559,6 +572,7 @@ class LruPolicy(_BlockPolicy):
         recency = self._recency
         to_front = recency.move_to_end
         pop_oldest = recency.popitem
+        n = self._n
         misses = sampled = 0
         for f, obs in zip(requests, observed):
             hit = f in recency
@@ -569,6 +583,8 @@ class LruPolicy(_BlockPolicy):
                 if hit:
                     to_front(f)
                 else:
+                    if not 0 <= f < n:
+                        raise ValueError(f"unknown file id {f}")
                     pop_oldest(False)
                     recency[f] = None
         self.sampled_steps += sampled

@@ -63,8 +63,8 @@ class TopCTracker:
       returns ``(evicted, admitted)``.
 
     No other write to ``heap``, ``pos`` or ``scores`` keeps the heap valid.
-    :meth:`bump` and :meth:`replace_min` check their arguments; the
-    protocol leaves the id check to its caller.
+    :meth:`bump` checks its arguments; the protocol leaves the id check to
+    its caller.
     """
 
     __slots__ = ("capacity", "scores", "heap", "pos", "op_counter")
@@ -154,20 +154,3 @@ class TopCTracker:
             self.sift_down(0)
             return (root, file_id)
         return (None, None)
-
-    def replace_min(self, file_id: int, new_score: float) -> int:
-        """Put a non-member in the weakest member's place; returns the evicted id.
-
-        Unlike :meth:`bump` the swap is unconditional: the caller decides
-        admission (LFU admits every observed miss).
-        """
-        if self.pos[file_id] >= 0:
-            raise ValueError(f"file {file_id} is already a member")
-        root = self.heap[0]
-        self.pos[root] = -1
-        self.scores[file_id] = new_score
-        self.heap[0] = file_id
-        self.pos[file_id] = 0
-        self.op_counter += 2
-        self.sift_down(0)
-        return root

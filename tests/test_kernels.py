@@ -382,8 +382,11 @@ def test_lfu_heap_stays_at_capacity_over_a_long_trace():
     observed = spawn_stream(0, 0).bernoulli(0.5, t).tolist()
     pol = LfuPolicy(c, Catalog(n))
     pol.run_block(0, trace.requests.tolist(), observed)
-    assert len(pol._tracker.heap) == c
-    assert pol._tracker.members() == pol.cache
+    heap = pol._heap
+    assert len(heap) == c
+    assert {n - 1 - key % n for key in heap} == pol.cache
+    # a hit leaves its key behind: a stored key may lag but never lead
+    assert all(key <= pol.counts[n - 1 - key % n] * n + key % n for key in heap)
 
 
 def test_sampling_bits_refill_across_chunks():

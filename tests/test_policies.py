@@ -131,11 +131,22 @@ def test_static_noise_rejects_a_negative_id(name, gamma0):
 
 
 def test_lfu_hit_on_a_negative_id_is_rejected():
-    # the miss admits -1 unchecked; the hit that follows must not raise the
-    # last file's score in its place
+    # the observed miss on -1 raises, so -1 never enters the cache and the
+    # request after it cannot hit on the last file's count
     pol = LfuPolicy(2, Catalog(5))
     with pytest.raises(ValueError, match="unknown file id"):
         pol.run_block(0, [-1, -1], [True, True])
+
+
+@pytest.mark.parametrize("policy", [LfuPolicy, LruPolicy])
+@pytest.mark.parametrize("file_id", [-1, 5])
+def test_observed_miss_on_an_unknown_id_is_rejected(policy, file_id):
+    # a packed LFU key for -1 or n would alias another file's key
+    pol = policy(2, Catalog(5))
+    with pytest.raises(ValueError, match="unknown file id"):
+        pol.run_block(0, [file_id], [True])
+    assert set(pol.cache) == {0, 1}
+    assert pol.run_block(0, [file_id], [False]) == 1  # unobserved: a miss, unchecked
 
 
 def test_exact_counts_under_full_observation():
@@ -337,6 +348,15 @@ def test_lfu_unobserved_requests_change_nothing():
     drive(pol, [3, 4, 3, 4], observed=[False] * 4)
     assert pol.cache == {0, 1}
     assert pol.counts == [0] * 5
+
+
+def test_lfu_threshold_compares_against_the_current_least_count():
+    # the hits leave the heap's keys at count 0; a comparison against the
+    # stale root would admit 2 at its first miss
+    pol = LfuPolicy(2, Catalog(3), admission_threshold=True)
+    caches = [set(pol.step(t, f, True).cache_after)
+              for t, f in enumerate([0, 0, 1, 1, 2, 2, 2], start=1)]
+    assert caches == [{0, 1}] * 6 + [{0, 2}]
 
 
 def test_lfu_tie_evicts_higher_id():

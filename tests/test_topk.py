@@ -112,16 +112,6 @@ def test_full_capacity_tracker_has_no_outsiders():
     assert tracker.members() == {0, 1, 2}
 
 
-def test_replace_min_swaps_out_the_weakest_member():
-    tracker = TopCTracker([4, 2, 2, 0], 3)
-    assert tracker.members() == {0, 1, 2}
-    assert tracker.replace_min(3, 1) == 2  # weakest: score 2, higher id
-    assert tracker.members() == {0, 1, 3}
-    assert tracker.heap[0] == 3
-    with pytest.raises(ValueError):
-        tracker.replace_min(0, 9)
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_bump_sequences_track_top_c_reference(data):
