@@ -30,7 +30,6 @@ from .traces import (
     gen_zipf,
     gen_zipf_rr,
     load_trace,
-    load_trace_with_mapping,
     save_trace,
     zipf_probs,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "gen_zipf",
     "gen_zipf_rr",
     "load_trace",
-    "load_trace_with_mapping",
     "make_policy",
     "make_trace",
     "minimized_regret_bound",

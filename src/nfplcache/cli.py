@@ -22,11 +22,11 @@ from .metrics import (
     write_summary_table,
 )
 from .oracle import opt_static, regret_bound_caching
-from .policies import POLICY_NAMES
+from .policies import NFPL_VARIANTS, POLICY_NAMES
 from .traces import save_trace
 
 GEN_KINDS = ("zipf", "zipf-rr", "round-robin")
-NFPL_FAMILY = ("s-nfpl", "d-nfpl", "l-nfpl", "fpl")
+NFPL_FAMILY = tuple(NFPL_VARIANTS)  # the policies that sample and carry a regret bound
 
 
 def _parse_policies(value: str) -> list[str]:
@@ -134,7 +134,7 @@ def _resolve_trace(args, parser) -> tuple:
             parser.error("--regen-trace-per-run needs a synthetic trace (--gen-kind)")
         spec = TraceSpec(kind="file", path=args.trace, id_column=args.id_column)
         trace = make_trace(spec)
-        if args.n_files:
+        if args.n_files is not None:
             if args.n_files < trace.catalog.n_files:
                 parser.error("--n-files smaller than the ids present in the trace")
             trace = Trace(Catalog(args.n_files), trace.requests)
@@ -164,9 +164,6 @@ def _resolve_eta(value: str, batch: int, capacity: int, horizon: int, p: float) 
 def _base_config(args, horizon: int, parser) -> PolicyConfig:
     if args.runs < 1:
         parser.error("--runs must be positive")
-    fixed_b = getattr(args, "fixed_b", None)
-    if fixed_b is not None and args.q != 1.0:
-        parser.error("--fixed-b selects fixed sampling, which takes no --q")
     try:
         return PolicyConfig(
             cache_capacity=args.c,
@@ -174,7 +171,7 @@ def _base_config(args, horizon: int, parser) -> PolicyConfig:
             observe_prob=args.p,
             sample_prob=args.q,
             eta=_resolve_eta(args.eta, args.b, args.c, horizon, args.p),
-            fixed_per_batch=fixed_b,
+            fixed_per_batch=getattr(args, "fixed_b", None),
         )
     except ValueError as exc:
         parser.error(str(exc))

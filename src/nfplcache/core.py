@@ -20,8 +20,6 @@ STREAM_BPO = 0
 STREAM_POLICY = 1
 STREAM_TRACE = 2
 
-NOISE_MODES = ("static", "dynamic", "lazy")
-
 BERNOULLI_CHUNK = 65_536  # uniforms drawn per step of RngStream.bernoulli
 
 
@@ -78,7 +76,8 @@ class PolicyConfig:
 
     ``eta`` is stored, not recomputed per step; use :func:`default_eta`
     to fill it from the horizon. Requests are sampled i.i.d. Bernoulli
-    (``sample_prob``), or exactly ``fixed_per_batch`` per batch when it is set.
+    (``sample_prob``), or exactly ``fixed_per_batch`` per batch when it is
+    set; fixed sampling takes no ``sample_prob``.
     """
 
     cache_capacity: int
@@ -86,7 +85,6 @@ class PolicyConfig:
     observe_prob: float = 1.0
     sample_prob: float = 1.0
     eta: float = 1.0
-    noise_mode: str = "static"
     fixed_per_batch: int | None = None
 
     def __post_init__(self) -> None:
@@ -100,11 +98,12 @@ class PolicyConfig:
             raise ValueError("sample_prob must lie in (0, 1]")
         if not self.eta > 0.0:
             raise ValueError("eta must be positive")
-        if self.noise_mode not in NOISE_MODES:
-            raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
         b = self.fixed_per_batch
-        if b is not None and not 1 <= b <= self.batch_size:
-            raise ValueError("fixed sampling needs 1 <= fixed_per_batch <= batch_size")
+        if b is not None:
+            if not 1 <= b <= self.batch_size:
+                raise ValueError("fixed sampling needs 1 <= fixed_per_batch <= batch_size")
+            if self.sample_prob != 1.0:
+                raise ValueError("fixed sampling (fixed_per_batch) takes no sample_prob")
 
 
 def default_eta(
@@ -135,8 +134,7 @@ def default_eta(
 class RngStream:
     """A named, reproducible substream of a master seed.
 
-    Same (seed, stream_id) always yields the same draw sequence; clones
-    restart the sequence from the beginning.
+    Same (seed, stream_id) always yields the same draw sequence.
     """
 
     seed: int
@@ -146,9 +144,6 @@ class RngStream:
     def __post_init__(self) -> None:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
-
-    def clone(self) -> "RngStream":
-        return RngStream(self.seed, self.stream_id)
 
     def substream(self, key: int) -> "RngStream":
         """Derive an independent stream keyed under this one."""
@@ -206,9 +201,6 @@ class RngStream:
             chunk = bits[lo:lo + BERNOULLI_CHUNK]
             np.less(self._gen.random(len(chunk)), p, out=chunk)
         return bits
-
-    def integers(self, low: int, high: int, size: int | None = None):
-        return self._gen.integers(low, high, size=size)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

@@ -39,13 +39,19 @@ Each policy's one simulation loop is ``run_block(t0, requests, observed)``,
 which feeds a block of requests and returns its misses; where the blocks
 end, and so where miss ratios are read, is up to the caller.
 ``step`` is a one-request block that returns a :class:`PolicyStep`.
+
+File ids are checked once, where they enter the program: a
+:class:`~nfplcache.core.Trace` holds only ids in ``[0, N)``, and ``step``
+rejects any other id before it touches the policy. ``run_block`` takes
+ids in ``[0, N)`` as its precondition and checks none of them, as
+:class:`~nfplcache.topk.TopCTracker`'s increase-key protocol leaves the
+check to its caller.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import replace
 from heapq import heapreplace
 from itertools import compress
 from typing import NamedTuple
@@ -55,7 +61,15 @@ import numpy as np
 from .core import Catalog, PolicyConfig, RngStream
 from .topk import TopCTracker, top_c_indices
 
-POLICY_NAMES = ("s-nfpl", "d-nfpl", "l-nfpl", "fpl", "lfu", "lru")
+# Each NFPL variant by name: its noise mode, and whether it counts every
+# request whatever its observation bit (fpl, full observation).
+NFPL_VARIANTS = {
+    "s-nfpl": ("static", False),
+    "d-nfpl": ("dynamic", False),
+    "l-nfpl": ("lazy", False),
+    "fpl": ("static", True),
+}
+POLICY_NAMES = (*NFPL_VARIANTS, "lfu", "lru")
 
 
 class PolicyStep(NamedTuple):
@@ -90,14 +104,17 @@ def _top_by_noise(counts, candidates, capacity, noise):
 class _BlockPolicy:
     """The per-request entry point shared by every policy.
 
-    A policy implements ``run_block(t0, requests, observed) -> misses``: one
-    loop over requests t0+1 .. t0+len(requests), given as sequences of file
-    ids and observation bits, with its state bound to locals; it scores each
-    request against the cache it finds and then updates.
+    A policy has ``n_files`` and implements ``run_block(t0, requests,
+    observed) -> misses``: one loop over requests t0+1 .. t0+len(requests),
+    given as sequences of file ids in ``[0, n_files)`` and observation bits,
+    with its state bound to locals; it scores each request against the
+    cache it finds and then updates.
     """
 
     def step(self, t: int, request: int, observed: bool) -> PolicyStep:
         """Feed the single request number ``t``; a one-request block."""
+        if not 0 <= request < self.n_files:
+            raise ValueError(f"unknown file id {request}")
         misses = self.run_block(t - 1, (request,), (observed,))
         return PolicyStep(request, observed, misses == 0, self.cache)
 
@@ -105,15 +122,17 @@ class _BlockPolicy:
 class NfplPolicy(_BlockPolicy):
     """Noisy perturbed-leader caching over a fixed horizon.
 
+    ``name`` is one of :data:`NFPL_VARIANTS`, which gives the noise mode
+    and whether every request is counted regardless of its observation bit.
     ``_counted`` makes the whole sampling decision for a block.
     ``gamma0`` and ``beta`` are test hooks that bypass the stream draws:
     ``gamma0`` injects the initial noise vector, ``beta`` a full per-step
-    sampling schedule. ``ignore_mask`` makes the policy count every
-    request regardless of the observation bit (full-observation mode).
+    sampling schedule.
     """
 
     def __init__(
         self,
+        name: str,
         config: PolicyConfig,
         catalog: Catalog,
         horizon: int,
@@ -121,8 +140,12 @@ class NfplPolicy(_BlockPolicy):
         *,
         gamma0=None,
         beta=None,
-        ignore_mask: bool = False,
     ):
+        if name not in NFPL_VARIANTS:
+            raise ValueError(
+                f"unknown policy {name!r}; valid names: {', '.join(POLICY_NAMES)}"
+            )
+        self._mode, self._full_observation = NFPL_VARIANTS[name]
         n = catalog.n_files
         if config.cache_capacity >= n:
             raise ValueError(
@@ -136,9 +159,7 @@ class NfplPolicy(_BlockPolicy):
         self.horizon = horizon
         self.eta = config.eta
         self._rng = rng
-        self._ignore_mask = ignore_mask
         self._batch = config.batch_size
-        self._mode = config.noise_mode
 
         if gamma0 is None:
             # no check needed: uniform(0, eta) is eta * random() < eta
@@ -232,7 +253,7 @@ class NfplPolicy(_BlockPolicy):
         sampling bit: Bernoulli(q), or b of each batch's B positions drawn
         without replacement when the batch first needs a bit (a trailing
         partial batch is truncated)."""
-        if self._ignore_mask:
+        if self._full_observation:
             observed = [True] * len(observed)
         beta = self._beta
         if beta is not None:
@@ -413,8 +434,6 @@ class NfplPolicy(_BlockPolicy):
                     # when the heap can move
                     changes += 1
                     s = scores[f] + 1.0
-                    if f < 0:
-                        bump(f, s)  # rejects the id
                     i = pos[f]
                     if i >= 0:
                         scores[f] = s
@@ -486,9 +505,7 @@ class LfuPolicy(_BlockPolicy):
     among equal counts, the higher id. A hit only raises the count, so a
     stored key may lag its file's current key but never exceeds it. An
     observed miss re-keys the root until its key is current, which makes
-    it the true victim. That miss is the only way an id enters the state,
-    and it rejects an id outside ``[0, n)``; an unobserved miss changes
-    nothing and is not checked.
+    it the true victim.
     """
 
     heap_ops = 0  # heapq calls are not counted; reporting them moves recorded results
@@ -504,6 +521,7 @@ class LfuPolicy(_BlockPolicy):
         n = catalog.n_files
         if cache_capacity >= n:
             raise ValueError("cache capacity must be below catalog size")
+        self.n_files = n
         self.counts = [0] * n
         self.cache = set(range(cache_capacity))
         self.admission_threshold = admission_threshold
@@ -528,8 +546,6 @@ class LfuPolicy(_BlockPolicy):
             misses += 1
             if obs:
                 sampled += 1
-                if not 0 <= f < n:
-                    raise ValueError(f"unknown file id {f}")
                 c = counts[f] + 1
                 counts[f] = c
                 while True:  # re-key the root until its count is current
@@ -547,11 +563,7 @@ class LfuPolicy(_BlockPolicy):
 
 
 class LruPolicy(_BlockPolicy):
-    """Evict-least-recently-used; recency moves on observed requests only.
-
-    An observed miss with an id outside ``[0, n)`` raises; an unobserved
-    miss changes nothing and is not checked.
-    """
+    """Evict-least-recently-used; recency moves on observed requests only."""
 
     heap_ops = 0
     cache_refreshes = 0
@@ -560,8 +572,8 @@ class LruPolicy(_BlockPolicy):
     def __init__(self, cache_capacity: int, catalog: Catalog):
         if cache_capacity >= catalog.n_files:
             raise ValueError("cache capacity must be below catalog size")
+        self.n_files = catalog.n_files
         self._recency = OrderedDict((f, None) for f in range(cache_capacity))
-        self._n = catalog.n_files
         self.sampled_steps = 0
 
     @property
@@ -572,7 +584,6 @@ class LruPolicy(_BlockPolicy):
         recency = self._recency
         to_front = recency.move_to_end
         pop_oldest = recency.popitem
-        n = self._n
         misses = sampled = 0
         for f, obs in zip(requests, observed):
             hit = f in recency
@@ -583,8 +594,6 @@ class LruPolicy(_BlockPolicy):
                 if hit:
                     to_front(f)
                 else:
-                    if not 0 <= f < n:
-                        raise ValueError(f"unknown file id {f}")
                     pop_oldest(False)
                     recency[f] = None
         self.sampled_steps += sampled
@@ -604,10 +613,4 @@ def make_policy(
         return LfuPolicy(config.cache_capacity, catalog)
     if name == "lru":
         return LruPolicy(config.cache_capacity, catalog)
-    if name == "fpl":
-        cfg = replace(config, noise_mode="static")
-        return NfplPolicy(cfg, catalog, horizon, rng, ignore_mask=True, **hooks)
-    mode = {"s-nfpl": "static", "d-nfpl": "dynamic", "l-nfpl": "lazy"}.get(name)
-    if mode is None:
-        raise ValueError(f"unknown policy {name!r}; valid names: {', '.join(POLICY_NAMES)}")
-    return NfplPolicy(replace(config, noise_mode=mode), catalog, horizon, rng, **hooks)
+    return NfplPolicy(name, config, catalog, horizon, rng, **hooks)

@@ -152,69 +152,31 @@ def _parse_csv(path: Path, id_column: str) -> list[int]:
     return raw
 
 
-def load_trace_with_mapping(
-    path: str | Path,
-    fmt: str = "auto",
-    id_column: str | None = None,
-    remap: str = "auto",
-    n_files: int | None = None,
-) -> tuple[Trace, dict[int, int]]:
-    """Read a trace file; returns the trace and the raw-id -> dense-id map.
+def load_trace(path: str | Path, id_column: str | None = None) -> Trace:
+    """Read a trace file: one decimal id per line, or for a ``.csv`` path a
+    header row and the id column named ``id_column``.
 
-    Formats: ``lines`` (one decimal id per line) or ``csv`` (header row,
-    id column selected by name); ``auto`` picks csv for .csv paths.
-
-    Raw ids are remapped to dense 0-based ids by first appearance. With
-    ``remap='auto'`` (default) files whose ids are already dense 0-based
-    are kept verbatim, so saving and reloading a trace is the identity.
-    ``remap='never'`` keeps raw ids and sizes the catalog as max id + 1.
-    ``n_files`` overrides the inferred catalog size (it must cover every
-    mapped id; useful when a trace does not request its whole catalog).
+    Ids that are already dense and 0-based are kept as they are, so saving
+    and reloading a trace is the identity. Other ids are remapped to dense
+    0-based ids by first appearance. The catalog is sized to the ids.
     """
     path = Path(path)
-    if fmt == "auto":
-        fmt = "csv" if path.suffix.lower() == ".csv" else "lines"
-    if fmt == "lines":
-        raw = _parse_lines(path)
-    elif fmt == "csv":
+    if path.suffix.lower() == ".csv":
         if id_column is None:
             raise ValueError("csv format requires an id column name")
         raw = _parse_csv(path, id_column)
     else:
-        raise ValueError("fmt must be 'auto', 'lines' or 'csv'")
+        raw = _parse_lines(path)
     if not raw:
         raise ValueError(f"{path}: empty trace file")
-    if remap not in ("auto", "always", "never"):
-        raise ValueError("remap must be 'auto', 'always' or 'never'")
 
     distinct = set(raw)
-    already_dense = min(distinct) == 0 and max(distinct) == len(distinct) - 1
-    if remap == "never" or (remap == "auto" and already_dense):
-        if min(distinct) < 0:
-            raise ValueError(f"{path}: negative ids require remapping")
-        mapping = {i: i for i in sorted(distinct)}
+    if min(distinct) == 0 and max(distinct) == len(distinct) - 1:
         requests = np.asarray(raw, dtype=np.int64)
-        inferred = max(distinct) + 1
     else:
         mapping = {}
         for rid in raw:
             if rid not in mapping:
                 mapping[rid] = len(mapping)
         requests = np.fromiter((mapping[r] for r in raw), dtype=np.int64, count=len(raw))
-        inferred = len(mapping)
-
-    size = inferred if n_files is None else n_files
-    if size < inferred:
-        raise ValueError(f"{path}: n_files={n_files} smaller than max mapped id + 1")
-    return Trace(Catalog(size), requests), mapping
-
-
-def load_trace(
-    path: str | Path,
-    fmt: str = "auto",
-    id_column: str | None = None,
-    remap: str = "auto",
-    n_files: int | None = None,
-) -> Trace:
-    """Like :func:`load_trace_with_mapping`, returning only the trace."""
-    return load_trace_with_mapping(path, fmt, id_column, remap, n_files)[0]
+    return Trace(Catalog(len(distinct)), requests)

@@ -103,7 +103,7 @@ def test_criterion_4_lazy_change_frequency():
     eta = default_eta(1, c, t)
     spec = TraceSpec(kind="zipf", n_files=n, length=t, alpha=1.0, seed=31)
     trace = make_trace(spec)
-    cfg = PolicyConfig(cache_capacity=c, batch_size=1, eta=eta, noise_mode="lazy")
+    cfg = PolicyConfig(cache_capacity=c, batch_size=1, eta=eta)
     res = run_one(trace, PolicySpec("l-nfpl", cfg), seed=0)
     assert res.sampled_steps == t
     fraction = res.score_changes / res.sampled_steps
@@ -120,7 +120,7 @@ def test_criterion_5_amortized_update_scaling():
         spec = TraceSpec(kind="zipf", n_files=n, length=t, alpha=1.0, seed=5)
         trace = make_trace(spec)
         cfg = PolicyConfig(cache_capacity=c, batch_size=1,
-                           eta=default_eta(1, c, t), noise_mode="lazy")
+                           eta=default_eta(1, c, t))
         runs = [run_one(trace, PolicySpec("l-nfpl", cfg), seed=s) for s in range(3)]
         ops[t] = np.mean([r.heap_ops for r in runs])
     ratio = ops[400_000] / ops[100_000]
@@ -131,13 +131,13 @@ def test_criterion_5_amortized_update_scaling():
     spec = TraceSpec(kind="zipf", n_files=n2, length=t2, alpha=1.0, seed=6)
     trace = make_trace(spec)
     cfg = PolicyConfig(cache_capacity=10, batch_size=b2, observe_prob=0.5,
-                       eta=default_eta(b2, 10, t2), noise_mode="dynamic")
+                       eta=default_eta(b2, 10, t2))
     res = run_one(trace, PolicySpec("d-nfpl", cfg), seed=9)
     mask = bpo_mask(t2, 0.5, spawn_stream(9, 0)).bits
     nonempty = int(mask[: (t2 // b2) * b2].reshape(-1, b2).any(axis=1).sum())
     assert res.cache_refreshes == nonempty
     cfg_full = PolicyConfig(cache_capacity=10, batch_size=b2,
-                            eta=default_eta(b2, 10, t2), noise_mode="dynamic")
+                            eta=default_eta(b2, 10, t2))
     res_full = run_one(trace, PolicySpec("d-nfpl", cfg_full), seed=9)
     assert res_full.cache_refreshes == t2 // b2
     report("5 amortized update scaling",
@@ -190,23 +190,23 @@ def test_criterion_6_oracle_equivalence():
 
 
 def _lazy_gamma_sample(seed: int, eta: float) -> float:
-    cfg = PolicyConfig(cache_capacity=2, batch_size=1, eta=eta, noise_mode="lazy")
-    pol = NfplPolicy(cfg, Catalog(8), 40, spawn_stream(seed, 1))
+    cfg = PolicyConfig(cache_capacity=2, batch_size=1, eta=eta)
+    pol = NfplPolicy("l-nfpl", cfg, Catalog(8), 40, spawn_stream(seed, 1))
     cycle = list(range(7, -1, -1)) * 5
     for i, f in enumerate(cycle):
         pol.step(i + 1, f, True)
     return float(pol.gamma[0])
 
 
-def _cache_set_histogram(mode: str, seeds: range) -> dict[int, np.ndarray]:
+def _cache_set_histogram(name: str, seeds: range) -> dict[int, np.ndarray]:
     """Distribution of the stored pair after each step of a fixed tiny run."""
     trace = [3, 1, 3, 2, 0, 1]
     pairs = {frozenset(p): i for i, p in enumerate(itertools.combinations(range(4), 2))}
     hist = {t: np.zeros(len(pairs), dtype=np.int64) for t in range(1, len(trace) + 1)}
-    cfg = PolicyConfig(cache_capacity=2, batch_size=1, eta=2.5, noise_mode=mode)
+    cfg = PolicyConfig(cache_capacity=2, batch_size=1, eta=2.5)
     cat = Catalog(4)
     for seed in seeds:
-        pol = NfplPolicy(cfg, cat, len(trace), spawn_stream(seed, 1))
+        pol = NfplPolicy(name, cfg, cat, len(trace), spawn_stream(seed, 1))
         for t, f in enumerate(trace, start=1):
             pol.step(t, f, True)
             hist[t][pairs[frozenset(pol.cache)]] += 1
@@ -221,9 +221,9 @@ def test_criterion_7_noise_marginal_and_variant_equivalence():
 
     m = 100_000
     hists = {
-        "static": _cache_set_histogram("static", range(0, m)),
-        "dynamic": _cache_set_histogram("dynamic", range(m, 2 * m)),
-        "lazy": _cache_set_histogram("lazy", range(2 * m, 3 * m)),
+        "static": _cache_set_histogram("s-nfpl", range(0, m)),
+        "dynamic": _cache_set_histogram("d-nfpl", range(m, 2 * m)),
+        "lazy": _cache_set_histogram("l-nfpl", range(2 * m, 3 * m)),
     }
     worst_p = 1.0
     for t in hists["static"]:

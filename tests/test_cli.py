@@ -166,6 +166,26 @@ def test_run_on_saved_trace_file(tmp_path):
     assert payload["experiment"]["n_files"] == 30
 
 
+@pytest.mark.parametrize("n_files, code", [(45, 0), (30, 0), (29, 2), (0, 2)])
+def test_n_files_sizes_the_catalog_of_a_trace_file(tmp_path, n_files, code):
+    # the file requests files 0..29; a larger catalog keeps files that are
+    # never requested, and one that cannot hold every id is a usage error
+    trace_path = tmp_path / "trace.txt"
+    run_cli(["gen", "--kind", "round-robin", "--n", "30", "--t", "900",
+             "--out", str(trace_path)])
+    out = tmp_path / "res"
+    flags = ["run", "--trace", str(trace_path), "--policies", "s-nfpl,lru", "--c", "3",
+             "--n-files", str(n_files), "--out", str(out)]
+    if code:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(flags)
+        assert exc.value.code == code
+    else:
+        assert run_cli(flags) == 0
+        payload = json.loads((out / "summary.json").read_text())
+        assert payload["experiment"]["n_files"] == n_files
+
+
 def test_sweep_degenerate_grid_matches_run(tmp_path):
     common = ["--gen-kind", "zipf", "--n", "40", "--t", "1200", "--policies",
               "s-nfpl", "--c", "4", "--runs", "2", "--seed", "5"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nfplcache
 from nfplcache.core import (
     BERNOULLI_CHUNK,
     Catalog,
@@ -57,12 +58,6 @@ def test_uniform_respects_half_open_range():
     draws = spawn_stream(7, 2).uniform(0.0, eta, 10_000)
     assert draws.min() >= 0.0
     assert draws.max() < eta
-
-
-def test_clone_restarts_the_sequence():
-    stream = spawn_stream(99, 1)
-    first = stream.random(10)
-    assert np.array_equal(stream.clone().random(10), first)
 
 
 def test_substreams_are_reproducible_and_distinct():
@@ -146,13 +141,22 @@ def test_policy_config_validation():
     with pytest.raises(ValueError):
         PolicyConfig(cache_capacity=1, eta=1.0, sample_prob=1.5)
     with pytest.raises(ValueError):
-        PolicyConfig(cache_capacity=1, eta=1.0, noise_mode="wiggly")
-    with pytest.raises(ValueError):
         PolicyConfig(cache_capacity=1, batch_size=4, eta=1.0, fixed_per_batch=0)
     with pytest.raises(ValueError):
         PolicyConfig(cache_capacity=1, batch_size=4, eta=1.0, fixed_per_batch=5)
+    # fixed sampling decides alone which requests count, so a Bernoulli
+    # rate next to it would be silently ignored
+    with pytest.raises(ValueError, match="sample_prob"):
+        PolicyConfig(cache_capacity=1, batch_size=4, eta=1.0, sample_prob=0.5,
+                     fixed_per_batch=2)
     cfg = PolicyConfig(cache_capacity=1, batch_size=4, eta=1.0, fixed_per_batch=2)
     assert cfg.fixed_per_batch == 2
+
+
+def test_every_public_name_resolves():
+    # a stale entry in __all__ breaks only ``from nfplcache import *``
+    missing = [name for name in nfplcache.__all__ if not hasattr(nfplcache, name)]
+    assert missing == []
 
 
 def test_eta_formula_value():

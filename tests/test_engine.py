@@ -214,7 +214,7 @@ def test_dnfpl_resort_count_equals_nonempty_batches():
     spec = TraceSpec(kind="zipf", n_files=n, length=t, alpha=1.0, seed=2)
     trace = make_trace(spec)
     cfg = PolicyConfig(cache_capacity=4, batch_size=b, observe_prob=0.3,
-                       eta=default_eta(b, 4, t), noise_mode="dynamic")
+                       eta=default_eta(b, 4, t))
     res = run_one(trace, PolicySpec("d-nfpl", cfg), seed=6)
     mask = bpo_mask(t, 0.3, spawn_stream(6, 0)).bits
     full = (t // b) * b

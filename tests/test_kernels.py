@@ -1,9 +1,10 @@
 """Block kernels against the per-request reference they replaced.
 
 The ``Ref*`` classes below are the per-request ``step()`` logic that the
-policies ran before ``run_block`` existed, kept verbatim apart from
-naming and ``RefNfpl``'s ``gamma0`` hook as the oracle: same draws from
-the same streams, same counters, same tie-breaks, and for NFPL the same
+policies ran before ``run_block`` existed, kept verbatim as the oracle
+apart from naming, ``RefNfpl``'s ``gamma0`` hook, and ``RefNfpl`` taking
+its noise mode and mask flag as arguments: same draws from the same
+streams, same counters, same tie-breaks, and for NFPL the same
 tracker scores and heap layout. Every policy's ``run_block`` must agree
 with them on random traces cut into random blocks; checkpoints are cut by
 the engine and tested in ``test_engine.py``.
@@ -30,7 +31,7 @@ from nfplcache.traces import gen_zipf
 
 
 class RefNfpl:
-    def __init__(self, config, catalog, horizon, rng, ignore_mask=False, gamma0=None):
+    def __init__(self, mode, ignore_mask, config, catalog, horizon, rng, gamma0=None):
         n = catalog.n_files
         self.config = config
         self.n_files = n
@@ -38,7 +39,7 @@ class RefNfpl:
         self._rng = rng
         self._ignore_mask = ignore_mask
         self._batch = config.batch_size
-        self._mode = config.noise_mode
+        self._mode = mode
         if gamma0 is None:
             gamma0 = rng.uniform(0.0, self.eta, n)
         gamma0 = np.asarray(gamma0, dtype=float)
@@ -210,10 +211,9 @@ def make_reference(name, config, catalog, horizon, rng, **hooks):
     if name == "lru":
         return RefLru(config.cache_capacity, catalog)
     if name == "fpl":
-        return RefNfpl(replace(config, noise_mode="static"), catalog, horizon, rng,
-                       ignore_mask=True, **hooks)
+        return RefNfpl("static", True, config, catalog, horizon, rng, **hooks)
     mode = {"s-nfpl": "static", "d-nfpl": "dynamic", "l-nfpl": "lazy"}[name]
-    return RefNfpl(replace(config, noise_mode=mode), catalog, horizon, rng, **hooks)
+    return RefNfpl(mode, False, config, catalog, horizon, rng, **hooks)
 
 
 def make_subject(name, config, catalog, horizon, rng, **hooks):
@@ -331,7 +331,7 @@ def test_lazy_refresh_bump_order_at_large_batches(seed):
     # several files cross a grid line in one batch of 10, and heap_ops and
     # the heap layout depend on the order in which the refresh bumps them
     n, horizon = 150, 3000
-    config = PolicyConfig(cache_capacity=12, batch_size=10, eta=3.0, noise_mode="lazy")
+    config = PolicyConfig(cache_capacity=12, batch_size=10, eta=3.0)
     rng = np.random.default_rng(seed)
     requests = (rng.zipf(1.2, horizon) % n).tolist()
     scenario = (n, config, requests, [True] * horizon, [0, 1234, horizon])
@@ -393,8 +393,7 @@ def test_sampling_bits_refill_across_chunks():
     # Bernoulli bits come in chunks of 8192; cross several chunk edges
     # with block edges that do not line up with them
     n, horizon = 40, 30_000
-    config = PolicyConfig(cache_capacity=5, batch_size=3, sample_prob=0.4, eta=4.0,
-                          noise_mode="lazy")
+    config = PolicyConfig(cache_capacity=5, batch_size=3, sample_prob=0.4, eta=4.0)
     trace = gen_zipf(Catalog(n), horizon, 1.0, spawn_stream(1, 2)).requests.tolist()
     observed = spawn_stream(1, 0).bernoulli(0.8, horizon).tolist()
     ref = make_reference("l-nfpl", config, Catalog(n), horizon, spawn_stream(1, 1))

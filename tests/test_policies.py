@@ -6,6 +6,7 @@ import pytest
 from nfplcache.core import Catalog, PolicyConfig, default_eta, spawn_stream
 from nfplcache.oracle import top_c_reference
 from nfplcache.policies import (
+    POLICY_NAMES,
     LfuPolicy,
     LruPolicy,
     NfplPolicy,
@@ -17,9 +18,9 @@ from nfplcache.topk import top_c_indices
 from nfplcache.traces import gen_zipf
 
 
-def nfpl(n, c, horizon, *, b=1, eta=1.0, mode="static", seed=0, **kw):
-    cfg = PolicyConfig(cache_capacity=c, batch_size=b, eta=eta, noise_mode=mode)
-    return NfplPolicy(cfg, Catalog(n), horizon, spawn_stream(seed, 1), **kw)
+def nfpl(n, c, horizon, *, b=1, eta=1.0, name="s-nfpl", seed=0, **kw):
+    cfg = PolicyConfig(cache_capacity=c, batch_size=b, eta=eta)
+    return NfplPolicy(name, cfg, Catalog(n), horizon, spawn_stream(seed, 1), **kw)
 
 
 def drive(policy, requests, observed=None):
@@ -81,7 +82,7 @@ def test_hand_traced_two_file_run():
 
 
 def test_unobserved_run_never_changes_cache():
-    pol = nfpl(6, 2, 50, mode="dynamic", eta=2.0, seed=3)
+    pol = nfpl(6, 2, 50, name="d-nfpl", eta=2.0, seed=3)
     initial = set(pol.cache)
     rng = np.random.default_rng(0)
     drive(pol, rng.integers(0, 6, 50).tolist(), observed=[False] * 50)
@@ -119,6 +120,22 @@ def test_horizon_overrun_rejected():
         pol.step(3, 0, True)
 
 
+@pytest.mark.parametrize("name", POLICY_NAMES)
+@pytest.mark.parametrize("file_id", [-1, 5])
+def test_step_rejects_an_unknown_id(name, file_id):
+    # -1 would index the last file's slot and 5 is past the end; the id is
+    # rejected before it reaches the policy, which is left as it was
+    cfg = PolicyConfig(cache_capacity=2, eta=3.0)
+    pol = make_policy(name, cfg, Catalog(5), 10, spawn_stream(0, 1))
+    cache = set(pol.cache)
+    counts = list(getattr(pol, "counts", []))  # LRU keeps none
+    with pytest.raises(ValueError, match="unknown file id"):
+        pol.step(1, file_id, True)
+    assert set(pol.cache) == cache
+    assert list(getattr(pol, "counts", [])) == counts
+    assert pol.step(1, 4, True).request == 4  # still expects request 1
+
+
 @pytest.mark.parametrize("name", ["s-nfpl", "fpl"])
 @pytest.mark.parametrize("gamma0", [[2.9, 2.8, 0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 2.8, 2.9]])
 def test_static_noise_rejects_a_negative_id(name, gamma0):
@@ -126,16 +143,22 @@ def test_static_noise_rejects_a_negative_id(name, gamma0):
     # of the cache, below its weakest member, and the second caches
     cfg = PolicyConfig(cache_capacity=2, eta=3.0)
     pol = make_policy(name, cfg, Catalog(5), 10, spawn_stream(0, 1), gamma0=gamma0)
+    cache = set(pol.cache)
     with pytest.raises(ValueError, match="unknown file id"):
-        pol.run_block(0, [-1], [True])
+        pol.step(1, -1, True)
+    assert set(pol.cache) == cache
+    assert pol.counts.tolist() == [0] * 5
 
 
 def test_lfu_hit_on_a_negative_id_is_rejected():
     # the observed miss on -1 raises, so -1 never enters the cache and the
     # request after it cannot hit on the last file's count
     pol = LfuPolicy(2, Catalog(5))
-    with pytest.raises(ValueError, match="unknown file id"):
-        pol.run_block(0, [-1, -1], [True, True])
+    for t in (1, 2):
+        with pytest.raises(ValueError, match="unknown file id"):
+            pol.step(t, -1, True)
+    assert set(pol.cache) == {0, 1}
+    assert list(pol.counts) == [0] * 5
 
 
 @pytest.mark.parametrize("policy", [LfuPolicy, LruPolicy])
@@ -144,9 +167,11 @@ def test_observed_miss_on_an_unknown_id_is_rejected(policy, file_id):
     # a packed LFU key for -1 or n would alias another file's key
     pol = policy(2, Catalog(5))
     with pytest.raises(ValueError, match="unknown file id"):
-        pol.run_block(0, [file_id], [True])
+        pol.step(1, file_id, True)
     assert set(pol.cache) == {0, 1}
-    assert pol.run_block(0, [file_id], [False]) == 1  # unobserved: a miss, unchecked
+    with pytest.raises(ValueError, match="unknown file id"):
+        pol.step(1, file_id, False)  # step() checks unobserved ids too
+    assert set(pol.cache) == {0, 1}
 
 
 def test_exact_counts_under_full_observation():
@@ -194,7 +219,7 @@ def test_static_noise_never_moves():
 
 
 def test_dynamic_noise_redraws_at_refresh():
-    pol = nfpl(10, 3, 9, b=3, mode="dynamic", eta=3.0, seed=2)
+    pol = nfpl(10, 3, 9, b=3, name="d-nfpl", eta=3.0, seed=2)
     g0 = pol.gamma.copy()
     drive(pol, [1, 2, 3, 4, 5, 6, 7, 8, 9])
     assert pol.cache_refreshes == 3
@@ -218,12 +243,12 @@ def test_candidate_filter_keeps_a_file_that_ties_the_floor_by_rounding():
 
 
 def test_lazy_gamma_equals_gamma0_before_any_count():
-    pol = nfpl(6, 2, 10, mode="lazy", eta=2.0, seed=4)
+    pol = nfpl(6, 2, 10, name="l-nfpl", eta=2.0, seed=4)
     assert np.array_equal(pol.gamma, pol.gamma0)
 
 
 def test_lazy_closed_form_hand_trace():
-    pol = nfpl(2, 1, 4, mode="lazy", eta=2.0, gamma0=[0.5, 1.2])
+    pol = nfpl(2, 1, 4, name="l-nfpl", eta=2.0, gamma0=[0.5, 1.2])
     m_before = pol.tracker.scores[0]
     pol.step(1, 0, True)
     assert pol.gamma[0] == pytest.approx(1.5)
@@ -235,7 +260,7 @@ def test_lazy_closed_form_hand_trace():
 
 def test_lazy_closed_form_invariant_at_boundaries():
     n, t, eta = 15, 300, 4.0
-    pol = nfpl(n, 5, t, mode="lazy", eta=eta, seed=6)
+    pol = nfpl(n, 5, t, name="l-nfpl", eta=eta, seed=6)
     rng = np.random.default_rng(1)
     for i, f in enumerate(rng.integers(0, n, t).tolist()):
         pol.step(i + 1, f, True)
@@ -246,7 +271,7 @@ def test_lazy_closed_form_invariant_at_boundaries():
 
 def test_lazy_jump_is_zero_or_exactly_eta():
     n, t, eta = 30, 2000, 7.0
-    pol = nfpl(n, 6, t, mode="lazy", eta=eta, seed=9)
+    pol = nfpl(n, 6, t, name="l-nfpl", eta=eta, seed=9)
     trace = gen_zipf(Catalog(n), t, 1.0, spawn_stream(10, 2))
     jumps = 0
     for i, f in enumerate(trace.requests.tolist()):
@@ -264,8 +289,8 @@ def test_lazy_jump_is_zero_or_exactly_eta():
 def test_lazy_change_rate_bounded_by_inverse_eta():
     n, c, t = 50, 5, 20_000
     eta = default_eta(1, c, t)
-    cfg = PolicyConfig(cache_capacity=c, eta=eta, noise_mode="lazy")
-    pol = NfplPolicy(cfg, Catalog(n), t, spawn_stream(3, 1))
+    cfg = PolicyConfig(cache_capacity=c, eta=eta)
+    pol = NfplPolicy("l-nfpl", cfg, Catalog(n), t, spawn_stream(3, 1))
     trace = gen_zipf(Catalog(n), t, 1.0, spawn_stream(3, 2))
     drive(pol, trace.requests.tolist())
     rate = pol.score_changes / pol.sampled_steps
@@ -275,7 +300,7 @@ def test_lazy_change_rate_bounded_by_inverse_eta():
 
 def test_lazy_tracker_matches_full_sort_after_run():
     n, c, t = 25, 6, 1500
-    pol = nfpl(n, c, t, mode="lazy", eta=3.0, seed=12)
+    pol = nfpl(n, c, t, name="l-nfpl", eta=3.0, seed=12)
     trace = gen_zipf(Catalog(n), t, 1.2, spawn_stream(12, 2))
     drive(pol, trace.requests.tolist())
     assert pol.cache == top_c_reference(pol.tracker.scores, c)
@@ -285,7 +310,7 @@ def test_lazy_tracker_matches_full_sort_after_run():
 
 def test_fixed_sampling_takes_exactly_b_per_batch():
     cfg = PolicyConfig(cache_capacity=2, batch_size=10, eta=2.0, fixed_per_batch=3)
-    pol = NfplPolicy(cfg, Catalog(20), 100, spawn_stream(5, 1))
+    pol = NfplPolicy("s-nfpl", cfg, Catalog(20), 100, spawn_stream(5, 1))
     rng = np.random.default_rng(0)
     per_batch = []
     for batch in range(10):
@@ -298,7 +323,7 @@ def test_fixed_sampling_takes_exactly_b_per_batch():
 
 def test_fixed_sampling_counts_b_per_batch_when_fully_observed():
     cfg = PolicyConfig(cache_capacity=2, batch_size=8, eta=2.0, fixed_per_batch=2)
-    pol = NfplPolicy(cfg, Catalog(30), 64, spawn_stream(6, 1))
+    pol = NfplPolicy("s-nfpl", cfg, Catalog(30), 64, spawn_stream(6, 1))
     drive(pol, list(range(30)) + list(range(30)) + [0, 1, 2, 3])
     assert pol.sampled_steps == 16
 
@@ -314,7 +339,7 @@ def test_beta_override_is_respected():
 def test_bernoulli_sampling_rate_is_roughly_q():
     t = 20_000
     cfg = PolicyConfig(cache_capacity=2, eta=2.0, sample_prob=0.3)
-    pol = NfplPolicy(cfg, Catalog(10), t, spawn_stream(7, 1))
+    pol = NfplPolicy("s-nfpl", cfg, Catalog(10), t, spawn_stream(7, 1))
     rng = np.random.default_rng(1)
     drive(pol, rng.integers(0, 10, t).tolist())
     assert pol.sampled_steps / t == pytest.approx(0.3, abs=0.02)
@@ -391,11 +416,12 @@ def test_make_policy_dispatch_and_unknown_name():
     cat = Catalog(5)
     assert isinstance(make_policy("lfu", cfg, cat, 10, spawn_stream(0, 1)), LfuPolicy)
     assert isinstance(make_policy("lru", cfg, cat, 10, spawn_stream(0, 1)), LruPolicy)
-    for name, mode in (("s-nfpl", "static"), ("d-nfpl", "dynamic"), ("l-nfpl", "lazy")):
-        pol = make_policy(name, cfg, cat, 10, spawn_stream(0, 1))
-        assert pol.config.noise_mode == mode
+    for name in ("s-nfpl", "d-nfpl", "l-nfpl", "fpl"):
+        assert isinstance(make_policy(name, cfg, cat, 10, spawn_stream(0, 1)), NfplPolicy)
     with pytest.raises(ValueError, match="valid names"):
         make_policy("nope", cfg, cat, 10, spawn_stream(0, 1))
+    with pytest.raises(ValueError, match="valid names"):
+        NfplPolicy("lfu", cfg, cat, 10, spawn_stream(0, 1))
 
 
 def test_fpl_ignores_the_observation_mask():
