@@ -96,8 +96,8 @@ class PolicyConfig:
             raise ValueError("observe_prob must lie in (0, 1]")
         if not 0.0 < self.sample_prob <= 1.0:
             raise ValueError("sample_prob must lie in (0, 1]")
-        if not self.eta > 0.0:
-            raise ValueError("eta must be positive")
+        if not (self.eta > 0.0 and math.isfinite(self.eta)):
+            raise ValueError("eta must be positive and finite")
         b = self.fixed_per_batch
         if b is not None:
             if not 1 <= b <= self.batch_size:

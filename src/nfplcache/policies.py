@@ -168,7 +168,7 @@ class NfplPolicy(_BlockPolicy):
             gamma0 = np.asarray(gamma0, dtype=float)
             if gamma0.shape != (n,):
                 raise ValueError(f"gamma0 must have one entry per file, got {gamma0.shape}")
-            if gamma0.min() < 0.0 or gamma0.max() >= self.eta:
+            if not np.all((gamma0 >= 0.0) & (gamma0 < self.eta)):
                 raise ValueError("gamma0 entries must lie in [0, eta)")
         self.gamma0 = gamma0
 
@@ -608,7 +608,13 @@ def make_policy(
     rng: RngStream,
     **hooks,
 ):
-    """Build a policy instance from its CLI name."""
+    """Build a policy instance from its CLI name.
+
+    ``hooks`` are :class:`NfplPolicy`'s test hooks; LFU and LRU draw no
+    noise and sample nothing, so they take none.
+    """
+    if name in ("lfu", "lru") and hooks:
+        raise TypeError(f"{name} takes no hooks, got {', '.join(sorted(hooks))}")
     if name == "lfu":
         return LfuPolicy(config.cache_capacity, catalog)
     if name == "lru":

@@ -64,6 +64,13 @@ def gen_zipf_rr(
     walks the still-active files from the highest label down to 0, and a
     file drops out once its total is exhausted.
 
+    The trace is built in closed form rather than cycle by cycle. Cycle c
+    holds ``active[c]`` requests, the number of files with a total above
+    c, and ends at position ``ends[c] = cumsum(active)[c]``; its request
+    at position t has label ``ends[c] - 1 - t``. So the whole trace is
+    ``repeat(ends - 1, active) - arange(length)``. The output holds only
+    rank labels, so how ties between totals are ranked cannot change it.
+
     ``counts`` injects the per-file totals directly, bypassing the
     multinomial draw, so tests can assert the emitted order exactly.
     """
@@ -77,19 +84,17 @@ def gen_zipf_rr(
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (n,):
         raise ValueError(f"counts must have one entry per file, got {counts.shape}")
+    if counts.min() < 0:
+        raise ValueError("counts must be non-negative")
     if counts.sum() != length:
         raise ValueError("counts must sum to the trace length")
 
-    order = np.lexsort((np.arange(n), -counts))
-    ranked = counts[order]  # non-increasing
-    neg = -ranked
-    chunks = []
-    for cycle in range(int(ranked[0])):
-        active = int(np.searchsorted(neg, -cycle, side="left"))
-        if active == 0:
-            break
-        chunks.append(np.arange(active - 1, -1, -1, dtype=np.int64))
-    return Trace(catalog, np.concatenate(chunks))
+    # files with a total above c, for each cycle c below the largest total
+    active = n - np.cumsum(np.bincount(counts))[:-1]
+    ends = np.cumsum(active)
+    requests = np.repeat(ends - 1, active)
+    requests -= np.arange(length)
+    return Trace(catalog, requests)
 
 
 def gen_round_robin(catalog: Catalog, length: int) -> Trace:

@@ -65,6 +65,7 @@ def test_zero_checkpoints_is_usage_error(tmp_path):
     ["--runs", "0"],
     ["--t", "0"],
     ["--n", "0"],
+    ["--eta", "inf"],
 ])
 def test_bad_flag_values_are_usage_errors(tmp_path, flags):
     with pytest.raises(SystemExit) as exc:

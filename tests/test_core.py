@@ -136,6 +136,9 @@ def test_policy_config_validation():
         PolicyConfig(cache_capacity=0, eta=1.0)
     with pytest.raises(ValueError):
         PolicyConfig(cache_capacity=1, eta=0.0)
+    for eta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="eta"):
+            PolicyConfig(cache_capacity=1, eta=eta)
     with pytest.raises(ValueError):
         PolicyConfig(cache_capacity=1, eta=1.0, observe_prob=0.0)
     with pytest.raises(ValueError):

@@ -66,6 +66,9 @@ def test_gamma0_hook_validated():
         nfpl(2, 1, 4, eta=1.0, gamma0=[0.5, 1.0])  # 1.0 outside [0, eta)
     with pytest.raises(ValueError):
         nfpl(2, 1, 4, gamma0=[0.5])
+    # NaN fails every comparison, so a min/max range check would pass it
+    with pytest.raises(ValueError, match="gamma0"):
+        nfpl(5, 2, 4, gamma0=[0.1, 0.2, math.nan, 0.3, 0.4])
 
 
 # --------------------------------------------------------------- step dynamics
@@ -422,6 +425,15 @@ def test_make_policy_dispatch_and_unknown_name():
         make_policy("nope", cfg, cat, 10, spawn_stream(0, 1))
     with pytest.raises(ValueError, match="valid names"):
         NfplPolicy("lfu", cfg, cat, 10, spawn_stream(0, 1))
+
+
+@pytest.mark.parametrize("name", ["lfu", "lru"])
+def test_make_policy_rejects_hooks_for_lfu_and_lru(name):
+    # neither policy draws noise or samples, so a hook would be ignored
+    cfg = PolicyConfig(cache_capacity=2, eta=1.0)
+    with pytest.raises(TypeError, match="beta, gamma0"):
+        make_policy(name, cfg, Catalog(5), 10, spawn_stream(0, 1),
+                    gamma0=[0.1] * 5, beta=[True] * 3)
 
 
 def test_fpl_ignores_the_observation_mask():

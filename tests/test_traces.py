@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from nfplcache.core import Catalog, spawn_stream
+from nfplcache.core import STREAM_TRACE, Catalog, spawn_stream
 from nfplcache.traces import (
     bpo_mask,
     gen_round_robin,
@@ -93,6 +97,59 @@ def test_zipf_rr_early_cycles_are_complete():
     counts = [4, 3, 3, 2, 2]
     trace = gen_zipf_rr(Catalog(5), 14, 1.0, counts=counts)
     assert trace.requests.tolist()[:10] == [4, 3, 2, 1, 0, 4, 3, 2, 1, 0]
+
+
+def ref_zipf_rr(counts) -> np.ndarray:
+    """The trace as its spec states it: one descending cycle over the files
+    with requests left, repeated, after ranking files by total (ties to the
+    lower id)."""
+    counts = np.asarray(counts, dtype=np.int64)
+    order = np.lexsort((np.arange(len(counts)), -counts))
+    ranked = counts[order]  # non-increasing
+    neg = -ranked
+    chunks = []
+    for cycle in range(int(ranked[0])):
+        active = int(np.searchsorted(neg, -cycle, side="left"))
+        if active == 0:
+            break
+        chunks.append(np.arange(active - 1, -1, -1, dtype=np.int64))
+    return np.concatenate(chunks)
+
+
+@st.composite
+def zipf_rr_counts(draw):
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):  # a single file holds every request
+        counts = [0] * n
+        counts[draw(st.integers(0, n - 1))] = draw(st.integers(1, 40))
+        return counts
+    # a small range makes zero totals and ties common
+    return draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)
+                .filter(lambda c: sum(c) > 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=zipf_rr_counts())
+def test_zipf_rr_closed_form_matches_cycle_loop(counts):
+    trace = gen_zipf_rr(Catalog(len(counts)), sum(counts), 1.0, counts=counts)
+    assert trace.requests.dtype == np.int64
+    assert trace.requests.tolist() == ref_zipf_rr(counts).tolist()
+
+
+@pytest.mark.parametrize("n, t, seed, digest", [
+    (10_000, 200_000, 2024, "bc01e2609d1fb045"),
+    (120, 1_000_000, 0, "6a21163feecfd84a"),
+])
+def test_zipf_rr_pinned_digests(n, t, seed, digest):
+    trace = gen_zipf_rr(Catalog(n), t, 1.0, spawn_stream(seed, STREAM_TRACE))
+    got = hashlib.sha256(trace.requests.astype("<i8").tobytes()).hexdigest()[:16]
+    assert got == digest
+
+
+def test_zipf_rr_rejects_negative_counts():
+    # [3, -1, 2] sums to the length 4, yet is no valid set of totals
+    with pytest.raises(ValueError, match="non-negative"):
+        gen_zipf_rr(Catalog(3), 4, 1.0, counts=[3, -1, 2])
 
 
 def test_round_robin_examples():
