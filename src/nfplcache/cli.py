@@ -122,10 +122,14 @@ def _resolve_parallelism(requested: int, parser) -> int:
     env = os.environ.get("NFPL_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            requested = int(env)
         except ValueError:
             parser.error(f"NFPL_THREADS must be an integer, got {env!r}")
-    return max(1, requested)
+        if requested < 1:
+            parser.error(f"NFPL_THREADS must be at least 1, got {env!r}")
+    elif requested < 1:
+        parser.error(f"--parallel must be at least 1, got {requested}")
+    return requested
 
 
 def _resolve_trace(args, parser) -> tuple:

@@ -29,7 +29,7 @@ from .core import (
 )
 from .metrics import AggregateResult, RunResult, aggregate, default_checkpoints
 from .oracle import opt_static
-from .policies import make_policy
+from .policies import POLICY_NAMES, make_policy
 from .traces import (
     ObservationMask,
     bpo_mask,
@@ -208,11 +208,18 @@ def run_experiment(
     policy set (all policies share each seed's mask). A pre-built trace
     may be passed to skip generation; otherwise the trace is built once
     from the spec, or per run of a synthetic spec when
-    ``regen_trace_per_run`` is set. Checkpoints are checked before any run.
+    ``regen_trace_per_run`` is set. Checkpoints and policy names are checked
+    before any run. The pool gets no more workers than there are seeds; with
+    one worker the seeds run in this process.
     """
     if runs < 1:
         raise ValueError("need at least one run")
     names = [s.name for s in policy_specs]
+    unknown = [name for name in names if name not in POLICY_NAMES]
+    if unknown:
+        raise ValueError(
+            f"unknown policy {unknown[0]!r}; valid names: {', '.join(POLICY_NAMES)}"
+        )
     if len(set(names)) != len(names):
         raise ValueError("policy names must be unique within one experiment")
     if paired:
@@ -247,13 +254,18 @@ def run_experiment(
     }
     seeds = list(range(base_seed, base_seed + runs))
 
-    if parallelism <= 1:
+    workers = min(parallelism, runs)
+    if workers <= 1:
         _init_worker(ctx)
-        per_seed = [_run_seed(s) for s in seeds]
-        _CTX.clear()
+        try:
+            per_seed = [_run_seed(s) for s in seeds]
+        finally:
+            _CTX.clear()
     else:
+        # the pool forks all its workers up front, so it gets no more than
+        # there are seeds
         with ProcessPoolExecutor(
-            max_workers=parallelism, initializer=_init_worker, initargs=(ctx,)
+            max_workers=workers, initializer=_init_worker, initargs=(ctx,)
         ) as pool:
             per_seed = list(pool.map(_run_seed, seeds))
 

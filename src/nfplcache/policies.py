@@ -30,10 +30,12 @@ score in place through :class:`~nfplcache.topk.TopCTracker`'s increase-key
 protocol; the tracker is called only to sift a member at an inner heap node
 or to swap in a non-member that beats the weakest member. An LFU hit only
 raises a count: its heap keys may lag, and a miss brings the root up to date.
-At B = 1 lazy noise sends a counted file to the refresh only when its count
-may have crossed its grid line. Dynamic noise changes its cache only at the
-end of a batch that counted a request, so it scores and counts the requests
-in between without a per-request Python loop.
+At B = 1 static and lazy noise run a loop of their own with no batch
+bookkeeping: every counted request is its own refresh, so a swap goes into
+the cache at once, and lazy noise re-grids a counted file inline, only when
+its count may have crossed its grid line. Dynamic noise changes its cache
+only at the end of a batch that counted a request, so it scores and counts
+the requests in between without a per-request Python loop.
 
 Each policy's one simulation loop is ``run_block(t0, requests, observed)``,
 which feeds a block of requests and returns its misses; where the blocks
@@ -351,21 +353,23 @@ class NfplPolicy(_BlockPolicy):
         end = t0 + len(requests)
         if end > self.horizon:
             raise ValueError(f"t={end} beyond horizon {self.horizon}")
+        counted = self._counted(t0, observed)
         if self._mode == "dynamic":
-            misses = self._run_batches(t0, requests, observed)
+            misses = self._run_batches(t0, requests, counted)
+        elif self._batch == 1:
+            misses = self._run_unbatched(requests, counted)
         else:
-            misses = self._run_requests(t0, requests, observed)
+            misses = self._run_requests(t0, requests, counted)
         self._t = end
         return misses
 
-    def _run_batches(self, t0: int, requests, observed) -> int:
+    def _run_batches(self, t0: int, requests, counted) -> int:
         """Dynamic noise. The cache changes only at the end of a batch that
         counted a request, so the block is cut into chunks that each run to
         the end of the batch holding the next counted request (or to the
         first boundary, when counted ids wait from the last block). A chunk
         is scored and counted at C level; its counted ids wait in
         ``_unsynced`` for the refresh."""
-        counted = self._counted(t0, observed)
         unsynced = self._unsynced
         batch = self._batch
         contains = self.cache.__contains__
@@ -397,8 +401,76 @@ class NfplPolicy(_BlockPolicy):
         self.cache_refreshes += refreshes
         return n - hits
 
-    def _run_requests(self, t0: int, requests, observed) -> int:
-        """Static and lazy noise: one pass over the requests."""
+    def _run_unbatched(self, requests, counted) -> int:
+        """Static and lazy noise at B = 1. A batch boundary follows every
+        request, so the next request is scored only after it: a counted
+        request's swap goes into the cache at once, and every counted
+        request is its own refresh."""
+        cache = self.cache
+        counts = self._counts
+        static = self._mode == "static"
+        tracker = self.tracker
+        bump = tracker.bump
+        scores = tracker.scores
+        heap = tracker.heap
+        pos = tracker.pos
+        sift_down = tracker.sift_down
+        inner = len(heap) // 2  # heap[i] is a leaf from here on
+        grid = self._gamma  # lazy: gamma0, never rewritten
+        eta = self.eta
+        ceil = math.ceil
+        misses = changes = ops = 0
+
+        for f, c in zip(requests, counted):
+            if f not in cache:
+                misses += 1
+            if c:
+                k = counts[f] + 1
+                counts[f] = k
+                if static:
+                    # the tracker's increase-key protocol: a call only
+                    # when the heap can move
+                    s = scores[f] + 1.0
+                    i = pos[f]
+                    if i >= 0:
+                        scores[f] = s
+                        ops += 1
+                        if i < inner:
+                            sift_down(i)
+                    else:
+                        root = heap[0]
+                        rs = scores[root]
+                        if s < rs or (s == rs and f > root):
+                            scores[f] = s
+                        else:
+                            cache.remove(bump(f, s)[0])
+                            cache.add(f)
+                # A lazy file moves only if its count may have crossed its
+                # grid line gamma0 + eta * j, its score: a count
+                # k <= score - 0.5 keeps ceil((k - gamma0) / eta) <= j, as
+                # rounding moves that quotient by far less than 0.5 / eta
+                # for scores below 2**50. The score rises only when the
+                # count crossed a line.
+                elif k + 0.5 > scores[f]:
+                    g0 = grid[f]
+                    s = g0 + eta * ceil((k - g0) / eta)
+                    if s > scores[f]:
+                        changes += 1
+                        evicted = bump(f, s)[0]
+                        if evicted is not None:
+                            cache.remove(evicted)
+                            cache.add(f)
+
+        refreshes = counted.count(True)
+        self.sampled_steps += refreshes
+        self.cache_refreshes += refreshes
+        self.score_changes += refreshes if static else changes
+        tracker.op_counter += ops
+        return misses
+
+    def _run_requests(self, t0: int, requests, counted) -> int:
+        """Static and lazy noise at B > 1: one pass over the requests, with
+        each batch's swaps applied to the cache at its boundary."""
         t = t0
         cache = self.cache
         counts = self._counts
@@ -416,16 +488,15 @@ class NfplPolicy(_BlockPolicy):
         eta = self.eta
         ceil = math.ceil
         batch = self._batch
-        every_counted = batch > 1
         boundary = (t // batch + 1) * batch
         flag = self.flag
         misses = sampled = changes = refreshes = ops = 0
 
-        for f, counted in zip(requests, self._counted(t0, observed)):
+        for f, c in zip(requests, counted):
             t += 1
             if f not in cache:
                 misses += 1
-            if counted:
+            if c:
                 counts[f] += 1
                 sampled += 1
                 flag = True
@@ -448,17 +519,12 @@ class NfplPolicy(_BlockPolicy):
                         else:
                             pending.append(bump(f, s))
                 else:
-                    # At B = 1 a lazy file joins only if its count may have
-                    # crossed its grid line gamma0 + eta * k, its score s:
-                    # a count c <= s - 0.5 keeps ceil((c - gamma0) / eta)
-                    # <= k, as rounding moves that quotient by far less
-                    # than 0.5 / eta for scores below 2**50. At B > 1 every
-                    # counted file joins: the refresh bumps in the set's
-                    # iteration order, heap_ops depend on that order, and
-                    # a set of the crossing files alone can iterate in
+                    # Every counted file joins, not only those that may
+                    # have crossed a grid line: the refresh bumps in the
+                    # set's iteration order, heap_ops depend on that order,
+                    # and a set of the crossing files alone can iterate in
                     # another order than the set of all counted files.
-                    if every_counted or counts[f] + 0.5 > scores[f]:
-                        dirty.add(f)
+                    dirty.add(f)
             if t == boundary:
                 boundary += batch
                 if flag:

@@ -66,6 +66,7 @@ def test_zero_checkpoints_is_usage_error(tmp_path):
     ["--t", "0"],
     ["--n", "0"],
     ["--eta", "inf"],
+    ["--parallel", "0"],
 ])
 def test_bad_flag_values_are_usage_errors(tmp_path, flags):
     with pytest.raises(SystemExit) as exc:
@@ -269,11 +270,12 @@ def test_parallel_env_override(tmp_path, monkeypatch):
 
 
 def test_parallel_env_override_must_be_an_integer(tmp_path, monkeypatch):
-    monkeypatch.setenv("NFPL_THREADS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["run", "--gen-kind", "zipf", "--n", "30", "--t", "600",
-                 "--policies", "lfu", "--c", "3", "--out", str(tmp_path / "bad")])
-    assert exc.value.code == 2
+    for value in ("abc", "0"):
+        monkeypatch.setenv("NFPL_THREADS", value)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--gen-kind", "zipf", "--n", "30", "--t", "600",
+                     "--policies", "lfu", "--c", "3", "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
 
 
 def test_plot_script_emission(tmp_path):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nfplcache import engine
 from nfplcache.core import (
     STREAM_POLICY,
     Catalog,
@@ -185,6 +186,49 @@ def test_failed_run_identifies_seed():
             warnings.simplefilter("ignore")
             run_experiment(spec, [PolicySpec("lfu", bad)], runs=1, base_seed=4,
                            regen_trace_per_run=True)
+
+
+def test_failed_in_process_run_clears_the_worker_context():
+    spec, _, _ = small_setup()
+    bad = PolicyConfig(cache_capacity=50, eta=1.0)  # capacity == catalog size
+    with pytest.raises(RuntimeError, match="seed 0"):
+        run_experiment(spec, [PolicySpec("s-nfpl", bad)], runs=1, base_seed=0,
+                       regen_trace_per_run=True)
+    assert engine._CTX == {}
+
+
+def test_unknown_policy_is_rejected_before_any_work(monkeypatch):
+    spec, trace, cfg = small_setup()
+
+    def no_work(*args):
+        raise AssertionError("opt_static ran")
+
+    monkeypatch.setattr(engine, "opt_static", no_work)
+    with pytest.raises(ValueError, match="unknown policy 'nope'"):
+        run_experiment(spec, [PolicySpec("lru", cfg), PolicySpec("nope", cfg)],
+                       runs=1, base_seed=0, trace=trace, parallelism=2)
+
+
+def test_pool_gets_no_more_workers_than_seeds(monkeypatch):
+    # the wrapper records the pool size asked for but starts at most two
+    # workers, so the test forks no more even where the cap is missing
+    spec, trace, cfg = small_setup(t=500)
+    specs = [PolicySpec("lru", cfg)]
+    asked = []
+    pool = engine.ProcessPoolExecutor
+
+    def capped_pool(max_workers, **kwargs):
+        asked.append(max_workers)
+        return pool(max_workers=min(max_workers, 2), **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", capped_pool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        two = run_experiment(spec, specs, runs=2, base_seed=0, trace=trace, parallelism=16)
+        one = run_experiment(spec, specs, runs=1, base_seed=0, trace=trace, parallelism=16)
+        assert two == run_experiment(spec, specs, runs=2, base_seed=0, trace=trace)
+        assert one == run_experiment(spec, specs, runs=1, base_seed=0, trace=trace)
+    assert asked == [2]
 
 
 def test_paired_mode_requires_single_observe_prob():

@@ -22,10 +22,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nfplcache.core import Catalog, PolicyConfig, RngStream, spawn_stream
+from nfplcache.core import Catalog, PolicyConfig, RngStream, default_eta, spawn_stream
 from nfplcache.policies import LfuPolicy, make_policy
 from nfplcache.topk import TopCTracker
-from nfplcache.traces import gen_zipf
+from nfplcache.traces import gen_zipf, gen_zipf_rr
 
 # ----------------------------------------------------------------- reference
 
@@ -405,3 +405,38 @@ def test_sampling_bits_refill_across_chunks():
         got += pol.run_block(lo, trace[lo:hi], observed[lo:hi])
     assert got == want
     assert state(pol) == state(ref)
+
+
+@pytest.mark.parametrize("name", ("s-nfpl", "fpl", "l-nfpl"))
+@pytest.mark.parametrize("p, q", [(0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0)])
+def test_unbatched_loop_over_a_long_run(name, p, q):
+    # B = 1 over a catalog deep enough for inner heap nodes and frequent
+    # swaps; random cuts include one-request blocks fed through step(), and
+    # each cut compares misses, counters, cache, counts, scores and heap
+    n, c, horizon = 400, 40, 20_000
+    config = PolicyConfig(cache_capacity=c, batch_size=1, observe_prob=p, sample_prob=q,
+                          eta=default_eta(1, c, horizon))
+    catalog = Catalog(n)
+    requests = gen_zipf_rr(catalog, horizon, 1.0, spawn_stream(3, 2)).requests.tolist()
+    observed = spawn_stream(3, 0).bernoulli(p, horizon).tolist()
+    rng = np.random.default_rng(int(p * 10 + q))
+    cuts = {int(x) for x in rng.integers(1, horizon - 1, 40)}
+    cuts |= {x + 1 for x in list(cuts)[:15]}  # a one-request block after each
+    bounds = [0, *sorted(cuts), horizon]
+    ref = make_reference(name, config, catalog, horizon, spawn_stream(3, 1))
+    pol = make_policy(name, config, catalog, horizon, spawn_stream(3, 1))
+
+    want = got = swaps = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        for t in range(lo + 1, hi + 1):
+            before = set(ref.cache)
+            want += not ref.step(t, requests[t - 1], observed[t - 1])
+            swaps += set(ref.cache) != before
+        if hi - lo == 1:
+            got += not pol.step(hi, requests[lo], observed[lo]).hit
+        else:
+            got += pol.run_block(lo, requests[lo:hi], observed[lo:hi])
+        assert got == want
+        assert state(pol) == state(ref)
+    assert swaps > 100
+    assert pol.heap_ops > swaps
