@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import statistics
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -16,12 +17,13 @@ from pathlib import Path
 from .core import Catalog, PolicyConfig, Trace, default_eta
 from .engine import PolicySpec, TraceSpec, make_trace, run_experiment
 from .metrics import (
+    SUMMARY_COLUMNS,
     default_checkpoints,
     write_series_csv,
     write_summary_json,
     write_summary_table,
 )
-from .oracle import opt_static, regret_bound_caching
+from .oracle import regret_bound_caching
 from .policies import NFPL_VARIANTS, POLICY_NAMES
 from .traces import save_trace
 
@@ -132,9 +134,19 @@ def _resolve_parallelism(requested: int, parser) -> int:
     return requested
 
 
+def _synthetic_spec(parser, kind: str, n, t, alpha: float, seed: int) -> TraceSpec:
+    if n is None or t is None:
+        parser.error("--gen-kind needs --n and --t")
+    if n < 1 or t < 1:
+        parser.error("--n and --t must be positive")
+    if kind in ("zipf", "zipf-rr") and alpha <= 0:
+        parser.error("--alpha must be positive for zipf traces")
+    return TraceSpec(kind=kind, n_files=n, length=t, alpha=alpha, seed=seed)
+
+
 def _resolve_trace(args, parser) -> tuple:
     if args.trace:
-        if getattr(args, "regen_trace_per_run", False):
+        if args.regen_trace_per_run:
             parser.error("--regen-trace-per-run needs a synthetic trace (--gen-kind)")
         spec = TraceSpec(kind="file", path=args.trace, id_column=args.id_column)
         trace = make_trace(spec)
@@ -145,15 +157,11 @@ def _resolve_trace(args, parser) -> tuple:
         return spec, trace
     if not args.gen_kind:
         parser.error("either --trace or --gen-kind is required")
-    if args.n is None or args.t is None:
-        parser.error("--gen-kind needs --n and --t")
-    if args.n < 1 or args.t < 1:
-        parser.error("--n and --t must be positive")
-    if args.gen_kind in ("zipf", "zipf-rr") and args.alpha <= 0:
-        parser.error("--alpha must be positive for zipf traces")
+    if args.regen_trace_per_run and args.trace_seed is not None:
+        parser.error("--trace-seed has no effect with --regen-trace-per-run, "
+                     "which draws each run's trace from the run's seed")
     seed = args.trace_seed if args.trace_seed is not None else args.seed
-    spec = TraceSpec(kind=args.gen_kind, n_files=args.n, length=args.t,
-                     alpha=args.alpha, seed=seed)
+    spec = _synthetic_spec(parser, args.gen_kind, args.n, args.t, args.alpha, seed)
     return spec, make_trace(spec)
 
 
@@ -165,43 +173,94 @@ def _resolve_eta(value: str, batch: int, capacity: int, horizon: int, p: float) 
     return float(value)
 
 
-def _base_config(args, horizon: int, parser) -> PolicyConfig:
+def _setup(args, parser) -> tuple:
+    """The parallelism, trace spec, trace and base policy config of ``run`` and
+    ``sweep``; under ``--regen-trace-per-run`` the trace only sizes the runs."""
     if args.runs < 1:
         parser.error("--runs must be positive")
+    parallelism = _resolve_parallelism(args.parallel, parser)
+    trace_spec, trace = _resolve_trace(args, parser)
     try:
-        return PolicyConfig(
-            cache_capacity=args.c,
-            batch_size=args.b,
-            observe_prob=args.p,
-            sample_prob=args.q,
-            eta=_resolve_eta(args.eta, args.b, args.c, horizon, args.p),
+        config = PolicyConfig(
+            cache_capacity=args.c, batch_size=args.b, observe_prob=args.p,
+            sample_prob=args.q, eta=_resolve_eta(args.eta, args.b, args.c, len(trace), args.p),
             fixed_per_batch=getattr(args, "fixed_b", None),
         )
     except ValueError as exc:
         parser.error(str(exc))
+    return parallelism, trace_spec, trace, config
 
 
-def _summary_row(name: str, agg, bound: float | None) -> dict:
+def _opt_misses(agg):
+    """The runs' optimum: their shared value, or the mean of their traces' optima."""
+    return statistics.mean(r.opt_misses for r in agg.runs)
+
+
+def _policy_summary(agg, bound: float | None) -> dict:
+    """One policy's ``summary.json`` entry."""
     return {
-        "policy": name,
-        "mean_final_miss_ratio": repr(agg.final_mean_miss_ratio),
-        "variance": repr(agg.final_variance),
-        "mean_regret": repr(agg.mean_regret),
-        "regret_bound": "" if bound is None else repr(bound),
-        "mean_heap_ops": repr(agg.mean_heap_ops),
-        "mean_cache_refreshes": repr(agg.mean_cache_refreshes),
-        "mean_wall_time_sec": repr(agg.mean_wall_time),
+        "mean_final_miss_ratio": agg.final_mean_miss_ratio,
+        "variance": agg.final_variance,
+        "mean_total_misses": float(sum(r.total_misses for r in agg.runs)) / agg.n_runs,
+        "opt_misses": _opt_misses(agg),
+        "mean_regret": agg.mean_regret,
+        "regret_bound": bound,
+        "mean_heap_ops": agg.mean_heap_ops,
+        "mean_cache_refreshes": agg.mean_cache_refreshes,
+        "mean_wall_time_sec": agg.mean_wall_time,
+        "runs": agg.n_runs,
     }
 
 
+def _summary_row(name: str, agg, bound: float | None) -> dict:
+    """The summary-table row: the ``repr`` of the entry's table fields."""
+    entry = _policy_summary(agg, bound)
+    return {"policy": name, **{
+        c: "" if entry[c] is None else repr(entry[c]) for c in SUMMARY_COLUMNS[1:]
+    }}
+
+
+def write_run_outputs(out_dir, results, specs, *, trace_kind: str, n_files: int,
+                      horizon: int, base_seed: int, fmt: str = "csv") -> list[dict]:
+    """Write ``nfplcache run``'s ``<policy>_series.csv`` files, ``summary.<fmt>``
+    and ``summary.json``, and return the summary rows. Each NFPL-family policy
+    gets the regret bound of its own config; ``experiment`` shows the first's."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows, payload = [], {}
+    for spec in specs:
+        name, cfg, agg = spec.name, spec.config, results[spec.name]
+        write_series_csv(out / f"{name}_series.csv", agg)
+        bound = None
+        if name in NFPL_FAMILY:
+            bound = regret_bound_caching(cfg.batch_size, cfg.cache_capacity, horizon,
+                                         cfg.observe_prob, cfg.sample_prob)
+        rows.append(_summary_row(name, agg, bound))
+        payload[name] = _policy_summary(agg, bound)
+    cfg = specs[0].config
+    payload["experiment"] = {
+        "trace_kind": trace_kind,
+        "n_files": n_files,
+        "horizon": horizon,
+        "cache_capacity": cfg.cache_capacity,
+        "batch_size": cfg.batch_size,
+        "observe_prob": cfg.observe_prob,
+        "sample_prob": cfg.sample_prob,
+        "eta": cfg.eta,
+        "base_seed": base_seed,
+        "opt_miss_ratio": payload[specs[0].name]["opt_misses"] / horizon,
+    }
+    write_summary_table(out / f"summary.{fmt}", rows, fmt)
+    write_summary_json(out / "summary.json", payload)
+    return rows
+
+
 def _print_summary(rows: list[dict]) -> None:
-    cols = ("policy", "mean_final_miss_ratio", "variance", "mean_regret",
-            "regret_bound", "mean_heap_ops", "mean_wall_time_sec")
-    print("  ".join(f"{c:>22s}" for c in cols))
+    print("  ".join(f"{c:>22s}" for c in SUMMARY_COLUMNS))
     for row in rows:
         cells = []
-        for c in cols:
-            v = row.get(c, "")
+        for c in SUMMARY_COLUMNS:
+            v = row[c]
             try:
                 cells.append(f"{float(v):>22.6g}")
             except (TypeError, ValueError):
@@ -235,16 +294,10 @@ print("wrote", here / "miss_ratio.png")
 
 
 def cmd_gen(args, parser) -> int:
-    if args.kind in ("zipf", "zipf-rr") and args.alpha <= 0:
-        parser.error("--alpha must be positive for zipf traces")
-    if args.n < 1 or args.t < 1:
-        parser.error("--n and --t must be positive")
-    spec = TraceSpec(kind=args.kind, n_files=args.n, length=args.t,
-                     alpha=args.alpha, seed=args.seed)
+    spec = _synthetic_spec(parser, args.kind, args.n, args.t, args.alpha, args.seed)
     trace = make_trace(spec)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_trace(trace, out)
     print(f"wrote {len(trace)} requests over {trace.catalog.n_files} files to {out}")
     return 0
@@ -253,69 +306,25 @@ def cmd_gen(args, parser) -> int:
 def cmd_run(args, parser) -> int:
     if args.checkpoints < 1:
         parser.error("--checkpoints must be positive")
-    parallelism = _resolve_parallelism(args.parallel, parser)
-    trace_spec, trace = _resolve_trace(args, parser)
+    parallelism, trace_spec, trace, config = _setup(args, parser)
     horizon = len(trace)
-    if args.c >= trace.catalog.n_files:
-        raise RuntimeError(
-            f"cache capacity {args.c} must be below catalog size {trace.catalog.n_files}"
-        )
-    config = _base_config(args, horizon, parser)
     specs = [PolicySpec(name, config) for name in args.policies]
     results = run_experiment(
-        trace_spec,
-        specs,
-        runs=args.runs,
-        base_seed=args.seed,
-        parallelism=parallelism,
-        paired=not args.unpaired,
+        trace_spec, specs, runs=args.runs, base_seed=args.seed,
+        parallelism=parallelism, paired=not args.unpaired,
         regen_trace_per_run=args.regen_trace_per_run,
         checkpoints=default_checkpoints(horizon, args.checkpoints),
         trace=None if args.regen_trace_per_run else trace,
     )
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    payload = {}
-    _, opt_misses = opt_static(trace, args.c)
-    for name in args.policies:
-        agg = results[name]
-        write_series_csv(out / f"{name}_series.csv", agg)
-        bound = None
-        if name in NFPL_FAMILY:
-            bound = regret_bound_caching(args.b, args.c, horizon, args.p, args.q)
-        rows.append(_summary_row(name, agg, bound))
-        payload[name] = {
-            "mean_final_miss_ratio": agg.final_mean_miss_ratio,
-            "variance": agg.final_variance,
-            "mean_total_misses": float(sum(r.total_misses for r in agg.runs)) / agg.n_runs,
-            "opt_misses": opt_misses,
-            "mean_regret": agg.mean_regret,
-            "regret_bound": bound,
-            "mean_heap_ops": agg.mean_heap_ops,
-            "mean_cache_refreshes": agg.mean_cache_refreshes,
-            "mean_wall_time_sec": agg.mean_wall_time,
-            "runs": agg.n_runs,
-        }
-    payload["experiment"] = {
-        "trace_kind": trace_spec.kind,
-        "n_files": trace.catalog.n_files,
-        "horizon": horizon,
-        "cache_capacity": args.c,
-        "batch_size": args.b,
-        "observe_prob": args.p,
-        "sample_prob": args.q,
-        "eta": config.eta,
-        "base_seed": args.seed,
-        "opt_miss_ratio": opt_misses / horizon,
-    }
-    write_summary_table(out / f"summary.{args.format}", rows, args.format)
-    write_summary_json(out / "summary.json", payload)
+    rows = write_run_outputs(out, results, specs, trace_kind=trace_spec.kind,
+                             n_files=trace.catalog.n_files, horizon=horizon,
+                             base_seed=args.seed, fmt=args.format)
     if args.emit_plot_script:
         (out / "plot_results.py").write_text(PLOT_SCRIPT, encoding="utf-8")
     _print_summary(rows)
-    print(f"opt miss ratio: {opt_misses / horizon:.4f}; results in {out}/")
+    print(f"opt miss ratio: {_opt_misses(results[specs[0].name]) / horizon:.4f}; "
+          f"results in {out}/")
     return 0
 
 
@@ -323,16 +332,8 @@ def cmd_sweep(args, parser) -> int:
     bad = [n for n in args.policies if n not in NFPL_FAMILY]
     if bad:
         parser.error(f"sweep only applies to sampling policies, got {bad}")
-    parallelism = _resolve_parallelism(args.parallel, parser)
-    trace_spec, trace = _resolve_trace(args, parser)
-    horizon = len(trace)
-    if args.c >= trace.catalog.n_files:
-        raise RuntimeError(
-            f"cache capacity {args.c} must be below catalog size {trace.catalog.n_files}"
-        )
+    parallelism, trace_spec, trace, base = _setup(args, parser)
     modes = ("var", "fix") if args.mode == "both" else (args.mode,)
-    base = _base_config(args, horizon, parser)
-    _, opt_misses = opt_static(trace, args.c)
 
     curves: dict[str, list[tuple[float, float, float]]] = {}
     for rate in args.rates:
@@ -359,19 +360,15 @@ def cmd_sweep(args, parser) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for label, points in curves.items():
+    # every experiment ran the same seeds, so the last one gives the runs' optimum
+    opt_ratio = _opt_misses(agg) / len(trace)
+    opt_line = [(float(rate), opt_ratio, 0.0) for rate in args.rates]
+    for label, points in {**curves, "opt": opt_line}.items():
         with open(out / f"{label}_sweep.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sampling_rate", "mean_miss_ratio", "ci95"])
             for rate, mean, ci in points:
                 writer.writerow([repr(rate), repr(mean), repr(ci)])
-    opt_ratio = opt_misses / horizon
-    with open(out / "opt_sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sampling_rate", "mean_miss_ratio", "ci95"])
-        for rate in args.rates:
-            writer.writerow([repr(float(rate)), repr(opt_ratio), repr(0.0)])
-
     for label, points in sorted(curves.items()):
         series = ", ".join(f"{r:.3g}->{m:.4f}" for r, m, _ in points)
         print(f"{label}: {series}")

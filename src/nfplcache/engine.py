@@ -108,6 +108,8 @@ def run_one(
     policy randomness always comes from the seed's policy stream.
     ``checkpoints`` must be strictly ascending request numbers in
     ``[1, len(trace)]``; the miss series has one entry for each.
+    ``opt_misses`` is the trace's optimum at the policy's capacity, computed
+    here when not given.
     """
     horizon = len(trace)
     if mask is None:
@@ -168,6 +170,7 @@ def _run_seed(seed: int) -> list[RunResult]:
         trace = make_trace(ctx["trace_spec"], seed=seed)
     specs = ctx["specs"]
     checkpoints = ctx["checkpoints"]
+    opts = dict(ctx["opt_misses"])  # empty for a per-seed trace, filled as runs compute it
     results = []
     try:
         # paired: every policy shares the seed's mask; unpaired: each policy
@@ -180,12 +183,11 @@ def _run_seed(seed: int) -> list[RunResult]:
             mask = shared
             if mask is None:
                 mask = bpo_mask(len(trace), spec.config.observe_prob, bpo.substream(idx))
-            opt = ctx["opt_misses"].get(spec.config.cache_capacity)
-            if opt is None:
-                _, opt = opt_static(trace, spec.config.cache_capacity)
-            results.append(
-                run_one(trace, spec, seed, mask=mask, checkpoints=checkpoints, opt_misses=opt)
-            )
+            c = spec.config.cache_capacity
+            res = run_one(trace, spec, seed, mask=mask, checkpoints=checkpoints,
+                          opt_misses=opts.get(c))
+            opts[c] = res.opt_misses
+            results.append(res)
     except Exception as exc:
         raise RuntimeError(f"run failed for seed {seed}: {exc}") from exc
     return results
@@ -208,9 +210,10 @@ def run_experiment(
     policy set (all policies share each seed's mask). A pre-built trace
     may be passed to skip generation; otherwise the trace is built once
     from the spec, or per run of a synthetic spec when
-    ``regen_trace_per_run`` is set. Checkpoints and policy names are checked
-    before any run. The pool gets no more workers than there are seeds; with
-    one worker the seeds run in this process.
+    ``regen_trace_per_run`` is set, which takes no pre-built trace. The
+    optimum is computed once per trace and capacity. Checkpoints and policy
+    names are checked before any run. The pool gets no more workers than
+    there are seeds; with one worker the seeds run in this process.
     """
     if runs < 1:
         raise ValueError("need at least one run")
@@ -234,6 +237,8 @@ def run_experiment(
     if regen_trace_per_run:
         if trace_spec.kind == "file":
             raise ValueError("regen_trace_per_run needs a synthetic trace spec")
+        if trace is not None:
+            raise ValueError("regen_trace_per_run draws every run's trace; pass no trace")
         shared_trace = None
         checkpoints = _checked_checkpoints(checkpoints, trace_spec.length)
     else:

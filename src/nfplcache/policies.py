@@ -113,6 +113,12 @@ class _BlockPolicy:
     cache it finds and then updates.
     """
 
+    def __init__(self, cache_capacity: int, catalog: Catalog):
+        n = catalog.n_files
+        if cache_capacity >= n:
+            raise ValueError(f"cache capacity {cache_capacity} must be below catalog size {n}")
+        self.n_files = n
+
     def step(self, t: int, request: int, observed: bool) -> PolicyStep:
         """Feed the single request number ``t``; a one-request block."""
         if not 0 <= request < self.n_files:
@@ -148,16 +154,11 @@ class NfplPolicy(_BlockPolicy):
                 f"unknown policy {name!r}; valid names: {', '.join(POLICY_NAMES)}"
             )
         self._mode, self._full_observation = NFPL_VARIANTS[name]
-        n = catalog.n_files
-        if config.cache_capacity >= n:
-            raise ValueError(
-                f"cache capacity {config.cache_capacity} must be below "
-                f"catalog size {n}"
-            )
+        super().__init__(config.cache_capacity, catalog)
+        n = self.n_files
         if horizon < 1:
             raise ValueError("horizon must be positive")
         self.config = config
-        self.n_files = n
         self.horizon = horizon
         self.eta = config.eta
         self._rng = rng
@@ -584,10 +585,8 @@ class LfuPolicy(_BlockPolicy):
         catalog: Catalog,
         admission_threshold: bool = False,
     ):
-        n = catalog.n_files
-        if cache_capacity >= n:
-            raise ValueError("cache capacity must be below catalog size")
-        self.n_files = n
+        super().__init__(cache_capacity, catalog)
+        n = self.n_files
         self.counts = [0] * n
         self.cache = set(range(cache_capacity))
         self.admission_threshold = admission_threshold
@@ -636,9 +635,7 @@ class LruPolicy(_BlockPolicy):
     score_changes = 0
 
     def __init__(self, cache_capacity: int, catalog: Catalog):
-        if cache_capacity >= catalog.n_files:
-            raise ValueError("cache capacity must be below catalog size")
-        self.n_files = catalog.n_files
+        super().__init__(cache_capacity, catalog)
         self._recency = OrderedDict((f, None) for f in range(cache_capacity))
         self.sampled_steps = 0
 

@@ -5,9 +5,10 @@ import warnings
 import pytest
 from scipy import stats
 
-from nfplcache.cli import main
+from nfplcache.cli import main, write_run_outputs
 from nfplcache.core import PolicyConfig, default_eta
-from nfplcache.engine import PolicySpec, TraceSpec, run_experiment
+from nfplcache.engine import PolicySpec, TraceSpec, make_trace, run_experiment
+from nfplcache.oracle import opt_static
 from nfplcache.metrics import read_series_csv, write_series_csv
 
 
@@ -186,6 +187,84 @@ def test_n_files_sizes_the_catalog_of_a_trace_file(tmp_path, n_files, code):
         assert run_cli(flags) == 0
         payload = json.loads((out / "summary.json").read_text())
         assert payload["experiment"]["n_files"] == n_files
+
+
+REGEN = ["--gen-kind", "zipf", "--n", "200", "--t", "5000", "--c", "10", "--runs", "3",
+         "--seed", "4", "--regen-trace-per-run"]
+
+
+def regen_mean_optimum() -> float:
+    """The mean optimum of the traces that REGEN's three runs simulate."""
+    spec = TraceSpec(kind="zipf", n_files=200, length=5000)
+    opts = [opt_static(make_trace(spec, seed=s), 10)[1] for s in (4, 5, 6)]
+    assert len(set(opts)) > 1
+    return sum(opts) / 3
+
+
+def test_trace_seed_with_regen_is_usage_error(tmp_path):
+    # every run draws its trace from its own seed, so --trace-seed would change nothing
+    for command in (["run", "--policies", "s-nfpl"],
+                    ["sweep", "--policies", "s-nfpl", "--rates", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command + REGEN + ["--trace-seed", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+
+def test_regen_summary_optimum_is_the_runs_optimum(tmp_path):
+    out = tmp_path / "regen"
+    assert run_cli(["run", "--policies", "s-nfpl,d-nfpl,lfu,lru"] + REGEN
+                   + ["--out", str(out)]) == 0
+    payload = json.loads((out / "summary.json").read_text())
+    opt = regen_mean_optimum()
+    for name in ("s-nfpl", "d-nfpl", "lfu", "lru"):
+        entry = payload[name]
+        assert entry["opt_misses"] == pytest.approx(opt, rel=1e-12)
+        assert entry["mean_total_misses"] - entry["opt_misses"] == pytest.approx(
+            entry["mean_regret"], rel=1e-12)
+    assert payload["experiment"]["opt_miss_ratio"] == pytest.approx(opt / 5000, rel=1e-12)
+
+
+def test_regen_opt_sweep_is_the_runs_mean_optimum(tmp_path):
+    out = tmp_path / "sw"
+    assert run_cli(["sweep", "--policies", "s-nfpl", "--rates", "0.5,1.0"] + REGEN
+                   + ["--out", str(out)]) == 0
+    with open(out / "opt_sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["sampling_rate"]) for r in rows] == [0.5, 1.0]
+    for row in rows:
+        assert float(row["mean_miss_ratio"]) == pytest.approx(regen_mean_optimum() / 5000,
+                                                              rel=1e-12)
+
+
+def test_write_run_outputs_matches_the_run_command(tmp_path):
+    # the keywords a benchmark harness holds; only the timing columns may differ
+    n, t, c, b = 300, 3000, 6, 10
+    assert run_cli(["run", "--gen-kind", "zipf-rr", "--n", str(n), "--t", str(t),
+                    "--policies", "s-nfpl,d-nfpl,lfu", "--c", str(c), "--b", str(b),
+                    "--p", "0.5", "--fixed-b", "3", "--runs", "2", "--seed", "7",
+                    "--out", str(tmp_path / "cli")]) == 0
+    cfg = PolicyConfig(cache_capacity=c, batch_size=b, observe_prob=0.5,
+                       eta=default_eta(b, c, t), fixed_per_batch=3)
+    specs = [PolicySpec(name, cfg) for name in ("s-nfpl", "d-nfpl", "lfu")]
+    spec = TraceSpec(kind="zipf-rr", n_files=n, length=t, alpha=1.0, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = run_experiment(spec, specs, runs=2, base_seed=7)
+    rows = write_run_outputs(tmp_path / "lib", results, specs, trace_kind="zipf-rr",
+                             n_files=n, horizon=t, base_seed=7)
+    assert [r["policy"] for r in rows] == ["s-nfpl", "d-nfpl", "lfu"]
+    cli, lib = tmp_path / "cli", tmp_path / "lib"
+    assert sorted(p.name for p in cli.iterdir()) == sorted(p.name for p in lib.iterdir())
+    for name in ("s-nfpl", "d-nfpl", "lfu"):
+        path = f"{name}_series.csv"
+        assert (cli / path).read_bytes() == (lib / path).read_bytes()
+    assert strip_timing((cli / "summary.csv").read_text()) == strip_timing(
+        (lib / "summary.csv").read_text())
+    timed = [json.loads((d / "summary.json").read_text()) for d in (cli, lib)]
+    for payload in timed:
+        for name in ("s-nfpl", "d-nfpl", "lfu"):
+            assert payload[name].pop("mean_wall_time_sec") > 0
+    assert json.dumps(timed[0], sort_keys=True) == json.dumps(timed[1], sort_keys=True)
 
 
 def test_sweep_degenerate_grid_matches_run(tmp_path):

@@ -1,9 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from nfplcache import engine
+from nfplcache import engine, oracle
 from nfplcache.core import (
     STREAM_POLICY,
     Catalog,
@@ -195,6 +196,56 @@ def test_failed_in_process_run_clears_the_worker_context():
         run_experiment(spec, [PolicySpec("s-nfpl", bad)], runs=1, base_seed=0,
                        regen_trace_per_run=True)
     assert engine._CTX == {}
+
+
+def test_regen_trace_per_run_rejects_a_prebuilt_trace():
+    spec, trace, cfg = small_setup()
+    with pytest.raises(ValueError, match="pass no trace"):
+        run_experiment(spec, [PolicySpec("lfu", cfg)], runs=1, base_seed=0,
+                       regen_trace_per_run=True, trace=trace)
+
+
+@pytest.mark.parametrize("regen", [False, True])
+def test_one_optimum_per_trace_and_capacity(monkeypatch, regen):
+    spec, trace, cfg = small_setup(t=800)
+    wide = PolicyConfig(cache_capacity=8, eta=cfg.eta)
+    specs = [PolicySpec("s-nfpl", cfg), PolicySpec("lfu", cfg), PolicySpec("lru", wide),
+             PolicySpec("fpl", wide)]
+    calls = []
+
+    def counted(tr, c):
+        calls.append(c)
+        return oracle.opt_static(tr, c)
+
+    monkeypatch.setattr(engine, "opt_static", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = run_experiment(spec, specs, runs=2, base_seed=0, regen_trace_per_run=regen,
+                             trace=None if regen else trace)
+    assert calls == ([5, 8] * 2 if regen else [5, 8])
+    for s in specs:
+        for r in out[s.name].runs:
+            seeded = make_trace(spec, seed=r.seed) if regen else trace
+            assert r.opt_misses == oracle.opt_static(seeded, s.config.cache_capacity)[1]
+
+
+@pytest.mark.parametrize("name, batch", [("s-nfpl", 1), ("l-nfpl", 1), ("d-nfpl", 100),
+                                         ("fpl", 1), ("lfu", 1), ("lru", 1)])
+def test_run_one_memory_does_not_grow_with_the_horizon(name, batch):
+    # the trace and mask are inputs, built first; a copy of the 1M-request
+    # trace as a list of ids alone would take 8 MiB
+    n, c, t = 120, 100, 1_000_000
+    trace = make_trace(TraceSpec(kind="zipf", n_files=n, length=t, seed=5))
+    mask = bpo_mask(t, 0.5, spawn_stream(1, 0))
+    cfg = PolicyConfig(cache_capacity=c, batch_size=batch, observe_prob=0.5,
+                       eta=default_eta(batch, c, t))
+    tracemalloc.start()
+    try:
+        run_one(trace, PolicySpec(name, cfg), seed=1, mask=mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"{name}: peak {peak / 2**20:.2f} MiB"
 
 
 def test_unknown_policy_is_rejected_before_any_work(monkeypatch):
