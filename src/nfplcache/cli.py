@@ -145,6 +145,8 @@ def _synthetic_spec(parser, kind: str, n, t, alpha: float, seed: int) -> TraceSp
 
 
 def _resolve_trace(args, parser) -> tuple:
+    """The trace spec and the shared trace; under ``--regen-trace-per-run``
+    there is none, as every run draws its own."""
     if args.trace:
         if args.regen_trace_per_run:
             parser.error("--regen-trace-per-run needs a synthetic trace (--gen-kind)")
@@ -162,7 +164,7 @@ def _resolve_trace(args, parser) -> tuple:
                      "which draws each run's trace from the run's seed")
     seed = args.trace_seed if args.trace_seed is not None else args.seed
     spec = _synthetic_spec(parser, args.gen_kind, args.n, args.t, args.alpha, seed)
-    return spec, make_trace(spec)
+    return spec, None if args.regen_trace_per_run else make_trace(spec)
 
 
 def _resolve_eta(value: str, batch: int, capacity: int, horizon: int, p: float) -> float:
@@ -174,21 +176,26 @@ def _resolve_eta(value: str, batch: int, capacity: int, horizon: int, p: float) 
 
 
 def _setup(args, parser) -> tuple:
-    """The parallelism, trace spec, trace and base policy config of ``run`` and
-    ``sweep``; under ``--regen-trace-per-run`` the trace only sizes the runs."""
+    """The parallelism, trace spec, shared trace (None under
+    ``--regen-trace-per-run``), catalog size, horizon and base policy config
+    of ``run`` and ``sweep``."""
     if args.runs < 1:
         parser.error("--runs must be positive")
     parallelism = _resolve_parallelism(args.parallel, parser)
     trace_spec, trace = _resolve_trace(args, parser)
+    if trace is None:
+        n_files, horizon = trace_spec.n_files, trace_spec.length
+    else:
+        n_files, horizon = trace.catalog.n_files, len(trace)
     try:
         config = PolicyConfig(
             cache_capacity=args.c, batch_size=args.b, observe_prob=args.p,
-            sample_prob=args.q, eta=_resolve_eta(args.eta, args.b, args.c, len(trace), args.p),
+            sample_prob=args.q, eta=_resolve_eta(args.eta, args.b, args.c, horizon, args.p),
             fixed_per_batch=getattr(args, "fixed_b", None),
         )
     except ValueError as exc:
         parser.error(str(exc))
-    return parallelism, trace_spec, trace, config
+    return parallelism, trace_spec, trace, n_files, horizon, config
 
 
 def _opt_misses(agg):
@@ -306,19 +313,17 @@ def cmd_gen(args, parser) -> int:
 def cmd_run(args, parser) -> int:
     if args.checkpoints < 1:
         parser.error("--checkpoints must be positive")
-    parallelism, trace_spec, trace, config = _setup(args, parser)
-    horizon = len(trace)
+    parallelism, trace_spec, trace, n_files, horizon, config = _setup(args, parser)
     specs = [PolicySpec(name, config) for name in args.policies]
     results = run_experiment(
         trace_spec, specs, runs=args.runs, base_seed=args.seed,
         parallelism=parallelism, paired=not args.unpaired,
         regen_trace_per_run=args.regen_trace_per_run,
-        checkpoints=default_checkpoints(horizon, args.checkpoints),
-        trace=None if args.regen_trace_per_run else trace,
+        checkpoints=default_checkpoints(horizon, args.checkpoints), trace=trace,
     )
     out = Path(args.out)
     rows = write_run_outputs(out, results, specs, trace_kind=trace_spec.kind,
-                             n_files=trace.catalog.n_files, horizon=horizon,
+                             n_files=n_files, horizon=horizon,
                              base_seed=args.seed, fmt=args.format)
     if args.emit_plot_script:
         (out / "plot_results.py").write_text(PLOT_SCRIPT, encoding="utf-8")
@@ -332,7 +337,7 @@ def cmd_sweep(args, parser) -> int:
     bad = [n for n in args.policies if n not in NFPL_FAMILY]
     if bad:
         parser.error(f"sweep only applies to sampling policies, got {bad}")
-    parallelism, trace_spec, trace, base = _setup(args, parser)
+    parallelism, trace_spec, trace, _, horizon, base = _setup(args, parser)
     modes = ("var", "fix") if args.mode == "both" else (args.mode,)
 
     curves: dict[str, list[tuple[float, float, float]]] = {}
@@ -347,8 +352,7 @@ def cmd_sweep(args, parser) -> int:
             results = run_experiment(
                 trace_spec, specs, runs=args.runs, base_seed=args.seed,
                 parallelism=parallelism, paired=not args.unpaired,
-                regen_trace_per_run=args.regen_trace_per_run,
-                trace=None if args.regen_trace_per_run else trace,
+                regen_trace_per_run=args.regen_trace_per_run, trace=trace,
             )
             effective = rate if mode == "var" else config.fixed_per_batch / args.b
             for name in args.policies:
@@ -361,7 +365,7 @@ def cmd_sweep(args, parser) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # every experiment ran the same seeds, so the last one gives the runs' optimum
-    opt_ratio = _opt_misses(agg) / len(trace)
+    opt_ratio = _opt_misses(agg) / horizon
     opt_line = [(float(rate), opt_ratio, 0.0) for rate in args.rates]
     for label, points in {**curves, "opt": opt_line}.items():
         with open(out / f"{label}_sweep.csv", "w", encoding="utf-8", newline="") as fh:

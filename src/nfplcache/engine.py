@@ -8,8 +8,8 @@ comparison; ``paired=False`` gives each policy its own mask substream.
 
 ``run_one`` owns the checkpoints: it cuts the trace and mask at every
 checkpoint and every 65 536 requests, hands each segment to the policy's
-``run_block`` and reads the miss ratio where a segment ends on a
-checkpoint; no per-request call is made from here.
+``run_block`` as numpy views and reads the miss ratio where a segment ends
+on a checkpoint; no per-request call is made from here.
 """
 
 from __future__ import annotations
@@ -104,8 +104,14 @@ def run_one(
 ) -> RunResult:
     """Simulate one policy over one trace with one seed.
 
-    The observation mask comes from the seed's BPO stream unless given;
-    policy randomness always comes from the seed's policy stream.
+    The observation mask comes from the seed's BPO stream unless given,
+    drawn segment by segment: ``RngStream.bernoulli`` gives the same bits
+    however a draw is split, so these are the bits of
+    :func:`~nfplcache.traces.bpo_mask` over the whole trace, and memory
+    stays O(N + C) for any horizon. Policy randomness always comes from the
+    seed's policy stream. Each segment goes to the policy's ``run_block``
+    as views of the trace's ids and of the mask's bits (an int and a bool
+    array).
     ``checkpoints`` must be strictly ascending request numbers in
     ``[1, len(trace)]``; the miss series has one entry for each.
     ``opt_misses`` is the trace's optimum at the policy's capacity, computed
@@ -113,8 +119,8 @@ def run_one(
     """
     horizon = len(trace)
     if mask is None:
-        mask = bpo_mask(horizon, spec.config.observe_prob, spawn_stream(seed, STREAM_BPO))
-    if len(mask) != horizon:
+        bpo, p = spawn_stream(seed, STREAM_BPO), spec.config.observe_prob
+    elif len(mask) != horizon:
         raise ValueError("mask length must match the trace")
     checkpoints = _checked_checkpoints(checkpoints, horizon)
     if opt_misses is None:
@@ -124,7 +130,7 @@ def run_one(
     )
 
     run_block = policy.run_block
-    requests, bits = trace.requests, mask.bits
+    requests = trace.requests
     wanted = set(checkpoints)
     misses = 0
     series = []
@@ -132,7 +138,8 @@ def run_one(
     started = time.perf_counter()
     # segments of at most 65 536 requests keep working state O(N + C)
     for end in sorted({*range(65_536, horizon, 65_536), *checkpoints, horizon}):
-        misses += run_block(start, requests[start:end].tolist(), bits[start:end].tolist())
+        bits = mask.bits[start:end] if mask is not None else bpo.bernoulli(p, end - start)
+        misses += run_block(start, requests[start:end], bits)
         if end in wanted:
             series.append(misses / end)
         start = end

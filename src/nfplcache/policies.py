@@ -15,7 +15,9 @@ counted request. The three noise couplings share that skeleton:
   count a floor or more, so a file with
   ``count + eta < floor`` ranks below them whatever its noise. Only files
   up to the last such candidate draw their noise; the stream skips the
-  rest, and ``gamma`` replays the full draw when it is read.
+  rest, and ``gamma`` replays the full draw when it is read. The cache is
+  a boolean mask of N entries, set and cleared at each refresh; the set
+  ``cache`` is built from the top C only when it is read.
 * ``lazy``    - gamma is the unique value in [0, eta) that keeps
   ``counts + gamma`` on the grid ``gamma0 + eta * Z``; the perturbed
   count of a file moves only when its count crosses a grid line, so
@@ -35,12 +37,20 @@ bookkeeping: every counted request is its own refresh, so a swap goes into
 the cache at once, and lazy noise re-grids a counted file inline, only when
 its count may have crossed its grid line. Dynamic noise changes its cache
 only at the end of a batch that counted a request, so it scores and counts
-the requests in between without a per-request Python loop.
+the requests in between without a per-request Python loop: a stretch of
+requests is scored as the number of true entries of the cache mask at
+their ids, and its counted ids wait as a slice of the block's counted ids
+for the refresh.
 
 Each policy's one simulation loop is ``run_block(t0, requests, observed)``,
 which feeds a block of requests and returns its misses; where the blocks
-end, and so where miss ratios are read, is up to the caller.
-``step`` is a one-request block that returns a :class:`PolicyStep`.
+end, and so where miss ratios are read, is up to the caller. A block is a
+pair of numpy arrays, the file ids (int) and the observation bits (bool),
+which may be views of the caller's arrays; they are neither written nor
+kept once the block returns. The per-request loops (static and lazy noise,
+LFU, LRU) turn them into lists when they start; dynamic noise reads them
+as arrays. ``step`` is a one-request block that returns a
+:class:`PolicyStep`. Whatever the policy, ``cache`` holds Python ints.
 
 File ids are checked once, where they enter the program: a
 :class:`~nfplcache.core.Trace` holds only ids in ``[0, N)``, and ``step``
@@ -55,7 +65,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from heapq import heapreplace
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -108,10 +117,13 @@ class _BlockPolicy:
 
     A policy has ``n_files`` and implements ``run_block(t0, requests,
     observed) -> misses``: one loop over requests t0+1 .. t0+len(requests),
-    given as sequences of file ids in ``[0, n_files)`` and observation bits,
-    with its state bound to locals; it scores each request against the
-    cache it finds and then updates.
+    given as an int array of file ids in ``[0, n_files)`` and a bool array
+    of observation bits, with its state bound to locals; it scores each
+    request against the cache it finds and then updates. It keeps no
+    reference to either array once it returns.
     """
+
+    _one = None  # step()'s one-request block: made by the first call, rewritten by each
 
     def __init__(self, cache_capacity: int, catalog: Catalog):
         n = catalog.n_files
@@ -123,7 +135,12 @@ class _BlockPolicy:
         """Feed the single request number ``t``; a one-request block."""
         if not 0 <= request < self.n_files:
             raise ValueError(f"unknown file id {request}")
-        misses = self.run_block(t - 1, (request,), (observed,))
+        if self._one is None:
+            self._one = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool))
+        requests, bits = self._one
+        requests[0] = request
+        bits[0] = observed
+        misses = self.run_block(t - 1, requests, bits)
         return PolicyStep(request, observed, misses == 0, self.cache)
 
 
@@ -179,14 +196,13 @@ class NfplPolicy(_BlockPolicy):
         # (q = 1 never reads it) and drawn block by block (or per batch in
         # fixed mode), so policy state stays O(N+C) whatever the horizon.
         self._beta_rng = None
-        self._beta = None
-        self._batch_bits: list[bool] = []
+        self._batch_bits = None  # fixed mode: the sampled positions of the last batch drawn
         self._drawn_batch = -1
         if beta is not None:
             beta = np.asarray(beta, dtype=bool)
             if beta.shape != (horizon,):
                 raise ValueError("beta schedule must cover the whole horizon")
-            self._beta = beta.tolist()
+        self._beta = beta
 
         self.flag = False
         self.cache_refreshes = 0
@@ -201,12 +217,16 @@ class NfplPolicy(_BlockPolicy):
             # int-to-float cast in the refresh's sums), brought up to date
             # from the counted ids at each refresh.
             self._counts_np = np.zeros(n)
-            self._unsynced: list[int] = []  # counted ids not yet in _counts_np
+            self._unsynced: list[np.ndarray] = []  # arrays of counted ids not yet in _counts_np
+            self._perturbed = np.empty(n)  # counts + noise, at a refresh that ranks all files
             self._top = top_c_indices(gamma0, config.cache_capacity)
-            self.cache = set(self._top.tolist())
+            self._in_cache = np.zeros(n, dtype=bool)
+            self._in_cache[self._top] = True
+            self._cache = None  # the set of _top, built when read
             # the refresh's filter (see _in_reach): a floor that at least C
             # files' counts reach
             self._floor = 0
+            self._least = 0.0  # no count is below it: counts only grow
             self._candidates = None  # sorted ids that can enter the cache; None: all
             self._is_candidate = None  # their bool mask
             # A prefix draw leaves the rest of gamma to be rebuilt on read
@@ -223,13 +243,23 @@ class NfplPolicy(_BlockPolicy):
             self._dirty: set[int] = set()  # lazy: files the next refresh checks
             self._pending: list[tuple[int, int]] = []  # (evicted, admitted) not yet applied
             self.tracker = TopCTracker(self._gamma, config.cache_capacity)
-            self.cache = self.tracker.members()
+            self._cache = self.tracker.members()
+
+    @property
+    def cache(self) -> set[int]:
+        """The cached file ids. Static and lazy noise keep this set up to
+        date; dynamic noise builds it from its top C at the first read after
+        a refresh."""
+        if self._cache is None:
+            self._cache = set(self._top.tolist())
+        return self._cache
 
     @property
     def counts(self) -> np.ndarray:
         if self._mode == "dynamic":
             counts = self._counts_np.astype(np.int64)
-            np.add.at(counts, np.array(self._unsynced, dtype=np.intp), 1)
+            for ids in self._unsynced:
+                np.add.at(counts, ids, 1)
             return counts
         return np.array(self._counts, dtype=np.int64)
 
@@ -250,48 +280,51 @@ class NfplPolicy(_BlockPolicy):
     def heap_ops(self) -> int:
         return self.tracker.op_counter if self.tracker is not None else 0
 
-    def _counted(self, t0: int, observed):
-        """Counted bits of requests t0+1 .. t0+len(observed): observed
-        (every request, for fpl) and sampled. Only observed requests draw a
-        sampling bit: Bernoulli(q), or b of each batch's B positions drawn
-        without replacement when the batch first needs a bit (a trailing
-        partial batch is truncated)."""
+    def _counted(self, t0: int, observed: np.ndarray) -> np.ndarray:
+        """Counted bits of requests t0+1 .. t0+len(observed), as a bool
+        array: observed (every request, for fpl) and sampled. Only observed
+        requests draw a sampling bit: Bernoulli(q), or b of each batch's B
+        positions drawn without replacement when the batch first needs a
+        bit (a trailing partial batch is truncated). The result may be
+        ``observed`` itself."""
         if self._full_observation:
-            observed = [True] * len(observed)
+            observed = np.ones(len(observed), dtype=bool)
         beta = self._beta
         if beta is not None:
-            return [o and beta[t] for t, o in enumerate(observed, t0)]
+            return observed & beta[t0:t0 + len(observed)]
         b = self.config.fixed_per_batch
         if b is None:
             q = self.config.sample_prob
             if q >= 1.0:
                 return observed
-            bits = iter(self._sampling_rng().bernoulli(q, sum(observed)).tolist())
-            return [o and next(bits) for o in observed]
+            counted = observed.copy()
+            counted[observed] = self._sampling_rng().bernoulli(q, int(np.count_nonzero(observed)))
+            return counted
         batch = self._batch
         if b == batch:
             return observed
-        counted = []
-        for t, o in enumerate(observed, t0):
-            if o:
-                i = t // batch
-                if i != self._drawn_batch:
-                    bits = [False] * batch
-                    for pos in self._sampling_rng().permutation(batch)[:b]:
-                        bits[pos] = True
-                    self._batch_bits = bits
-                    self._drawn_batch = i
-                o = self._batch_bits[t % batch]
-            counted.append(o)
-        return counted
+        n = len(observed)
+        sampled = np.zeros(n, dtype=bool)
+        # the batches holding an observed request, each in order
+        for i in np.unique((np.flatnonzero(observed) + t0) // batch).tolist():
+            if i != self._drawn_batch:
+                bits = np.zeros(batch, dtype=bool)
+                bits[self._sampling_rng().permutation(batch)[:b]] = True
+                self._batch_bits = bits
+                self._drawn_batch = i
+            start = i * batch - t0  # the batch's first position in the block
+            lo, hi = max(start, 0), min(start + batch, n)
+            sampled[lo:hi] = self._batch_bits[lo - start:hi - start]
+        return observed & sampled
 
     def _sampling_rng(self) -> RngStream:
         if self._beta_rng is None:
             self._beta_rng = self._rng.substream(1)
         return self._beta_rng
 
-    def _redraw(self) -> set[int]:
-        """Dynamic refresh: fresh noise, then the top C of counts + noise.
+    def _redraw(self) -> None:
+        """Dynamic refresh: fresh noise, then the top C of counts + noise
+        become the cache.
 
         Once some file is out of reach (:func:`_in_reach`), only the
         candidates are ranked, and only files up to the last candidate draw
@@ -303,20 +336,26 @@ class NfplPolicy(_BlockPolicy):
         eta = self.eta
         capacity = self.config.cache_capacity
         counts = self._counts_np
+        least = np.minimum.reduce  # ndarray.min without its Python wrapper
         unsynced = self._unsynced
-        ids = np.array(unsynced, dtype=np.intp)
+        ids = unsynced[0] if len(unsynced) == 1 else np.concatenate(unsynced)
         np.add.at(counts, ids, 1.0)
         unsynced.clear()
         candidates = self._candidates
         if candidates is None:
             # every file is in reach while the smallest count is within eta
-            # of the floor
-            floor = int(counts[self._top].min())
-            if counts.min() + eta >= floor:
+            # of the floor. _least, a count no file is below, stands in for
+            # the smallest count until it is too low to show that; rounding
+            # is monotonic, so the outcome is the same.
+            floor = int(least(counts[self._top]))
+            if self._least + eta < floor:
+                self._least = least(counts)
+            if self._least + eta >= floor:
                 # eta * random(n) is uniform(0, eta, n) bit for bit
-                gamma = self._gamma = eta * self._rng.random(n)
-                self._top = top_c_indices(counts + gamma, capacity)
-                return set(self._top.tolist())
+                gamma = self._gamma = self._rng.random(n)
+                gamma *= eta
+                self._admit(top_c_indices(np.add(counts, gamma, out=self._perturbed), capacity))
+                return
             # a file fell out of reach: from here on only candidates draw
             self._floor = floor
             self._is_candidate = _in_reach(counts, np.arange(n), floor, eta)
@@ -326,7 +365,7 @@ class NfplPolicy(_BlockPolicy):
             is_candidate = self._is_candidate
             # C files reach the floor: the cached files reach their least
             # count, and the files that reached an earlier floor still do
-            floor = max(self._floor, int(counts[self._top].min()))
+            floor = max(self._floor, int(least(counts[self._top])))
             if floor > self._floor:
                 keep = _in_reach(counts, candidates, floor, eta)
                 if not keep.all():
@@ -341,10 +380,18 @@ class NfplPolicy(_BlockPolicy):
                     candidates = np.flatnonzero(is_candidate)
         self._candidates = candidates
         noise = eta * self._rng.random_prefix(int(candidates[-1]) + 1, n)
-        top = self._top = _top_by_noise(counts, candidates, capacity, noise)
+        self._admit(_top_by_noise(counts, candidates, capacity, noise))
         self._gamma = None
         self._noise_drawn += n
-        return set(top.tolist())
+
+    def _admit(self, top: np.ndarray) -> None:
+        """Make the ids ``top`` the dynamic-noise cache: move the mask and
+        drop the stored set."""
+        in_cache = self._in_cache
+        in_cache[self._top] = False
+        in_cache[top] = True
+        self._top = top
+        self._cache = None
 
     def run_block(self, t0: int, requests, observed) -> int:
         if t0 != self._t:
@@ -364,50 +411,49 @@ class NfplPolicy(_BlockPolicy):
         self._t = end
         return misses
 
-    def _run_batches(self, t0: int, requests, counted) -> int:
+    def _run_batches(self, t0: int, requests: np.ndarray, counted: np.ndarray) -> int:
         """Dynamic noise. The cache changes only at the end of a batch that
         counted a request, so the block is cut into chunks that each run to
         the end of the batch holding the next counted request (or to the
         first boundary, when counted ids wait from the last block). A chunk
-        is scored and counted at C level; its counted ids wait in
-        ``_unsynced`` for the refresh."""
+        is scored on the cache mask; its counted ids, a slice of the block's
+        counted ids, wait in ``_unsynced`` for the refresh. A bool array's
+        bytes are 0 or 1, so the next counted request is found with
+        ``bytes.find``, and a chunk's hits and counted requests are counted
+        with ``bytes.count``, which returns a Python int."""
         unsynced = self._unsynced
         batch = self._batch
-        contains = self.cache.__contains__
+        in_cache = self._in_cache  # updated in place by each refresh
+        bits = counted.tobytes()
+        ids = requests[counted]
         n = len(requests)
-        hits = refreshes = 0
-        sampled = -len(unsynced)
-        lo = 0
+        hits = refreshes = j = lo = 0
         while lo < n:
-            if unsynced:
-                k = lo
-            else:
-                try:
-                    k = counted.index(True, lo)
-                except ValueError:
-                    k = n
+            k = lo if unsynced else bits.find(1, lo)
+            if k < 0:
+                k = n
             hi = ((t0 + k) // batch + 1) * batch - t0  # the end of k's batch
-            chunk = requests[lo:hi]
-            hits += sum(map(contains, chunk))
-            unsynced.extend(compress(chunk, counted[lo:hi]))
+            hits += in_cache[requests[lo:hi]].tobytes().count(1)
+            m = j + bits.count(1, lo, hi)
+            if m > j:
+                unsynced.append(ids[j:m])
+                j = m
             if hi > n:
                 break
-            sampled += len(unsynced)
             refreshes += 1
-            self.cache = self._redraw()
-            contains = self.cache.__contains__
+            self._redraw()
             lo = hi
-        self.flag = bool(unsynced)
-        self.sampled_steps += sampled + len(unsynced)
+        self.sampled_steps += len(ids)
         self.cache_refreshes += refreshes
         return n - hits
 
-    def _run_unbatched(self, requests, counted) -> int:
+    def _run_unbatched(self, requests: np.ndarray, counted: np.ndarray) -> int:
         """Static and lazy noise at B = 1. A batch boundary follows every
         request, so the next request is scored only after it: a counted
         request's swap goes into the cache at once, and every counted
         request is its own refresh."""
-        cache = self.cache
+        requests, counted = requests.tolist(), counted.tolist()
+        cache = self._cache
         counts = self._counts
         static = self._mode == "static"
         tracker = self.tracker
@@ -469,11 +515,12 @@ class NfplPolicy(_BlockPolicy):
         tracker.op_counter += ops
         return misses
 
-    def _run_requests(self, t0: int, requests, counted) -> int:
+    def _run_requests(self, t0: int, requests: np.ndarray, counted: np.ndarray) -> int:
         """Static and lazy noise at B > 1: one pass over the requests, with
         each batch's swaps applied to the cache at its boundary."""
+        requests, counted = requests.tolist(), counted.tolist()
         t = t0
-        cache = self.cache
+        cache = self._cache
         counts = self._counts
         static = self._mode == "static"
         tracker = self.tracker
@@ -602,7 +649,7 @@ class LfuPolicy(_BlockPolicy):
         last = n - 1
         threshold = self.admission_threshold
         misses = sampled = 0
-        for f, obs in zip(requests, observed):
+        for f, obs in zip(requests.tolist(), observed.tolist()):
             if f in cache:
                 if obs:
                     sampled += 1
@@ -648,7 +695,7 @@ class LruPolicy(_BlockPolicy):
         to_front = recency.move_to_end
         pop_oldest = recency.popitem
         misses = sampled = 0
-        for f, obs in zip(requests, observed):
+        for f, obs in zip(requests.tolist(), observed.tolist()):
             hit = f in recency
             if not hit:
                 misses += 1

@@ -32,7 +32,9 @@ def top_c_indices(values: np.ndarray, c: int) -> np.ndarray:
     n = len(values)
     if c >= n:
         return np.arange(n)
-    kth = np.partition(values, n - c)[n - c]
+    part = values.copy()  # ndarray.partition, without np.partition's Python wrapper
+    part.partition(n - c)
+    kth = part[n - c]
     candidates = (values >= kth).nonzero()[0]  # flatnonzero, without its wrappers
     if len(candidates) > c:
         order = np.lexsort((candidates, -values[candidates]))

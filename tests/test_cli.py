@@ -5,11 +5,12 @@ import warnings
 import pytest
 from scipy import stats
 
+from nfplcache import cli, engine
 from nfplcache.cli import main, write_run_outputs
 from nfplcache.core import PolicyConfig, default_eta
 from nfplcache.engine import PolicySpec, TraceSpec, make_trace, run_experiment
 from nfplcache.oracle import opt_static
-from nfplcache.metrics import read_series_csv, write_series_csv
+from nfplcache.metrics import default_checkpoints, read_series_csv, write_series_csv
 
 
 def run_cli(args):
@@ -234,6 +235,47 @@ def test_regen_opt_sweep_is_the_runs_mean_optimum(tmp_path):
     for row in rows:
         assert float(row["mean_miss_ratio"]) == pytest.approx(regen_mean_optimum() / 5000,
                                                               rel=1e-12)
+
+
+def test_regen_draws_each_run_trace_once(tmp_path, monkeypatch):
+    # the runs' spec holds the horizon and catalog size, so no trace is drawn
+    # for --seed alone, and the outputs are those of the library's regen runs
+    calls = []
+    real = engine.make_trace
+
+    def counting(spec, seed=None):
+        calls.append(seed)
+        return real(spec, seed)
+
+    monkeypatch.delenv("NFPL_THREADS", raising=False)
+    monkeypatch.setattr(engine, "make_trace", counting)
+    monkeypatch.setattr(cli, "make_trace", counting)
+    names = ("s-nfpl", "d-nfpl", "lru")
+    assert run_cli(["run", "--policies", ",".join(names), "--eta", "auto-exp", "--p", "0.5"]
+                   + REGEN + ["--out", str(tmp_path / "cli")]) == 0
+    assert calls == [4, 5, 6]
+
+    cfg = PolicyConfig(cache_capacity=10, observe_prob=0.5,
+                       eta=default_eta(1, 10, 5000, 0.5, kind="experimental"))
+    specs = [PolicySpec(name, cfg) for name in names]
+    spec = TraceSpec(kind="zipf", n_files=200, length=5000, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = run_experiment(spec, specs, runs=3, base_seed=4, regen_trace_per_run=True,
+                                 checkpoints=default_checkpoints(5000, 200))
+    write_run_outputs(tmp_path / "lib", results, specs, trace_kind="zipf", n_files=200,
+                      horizon=5000, base_seed=4)
+    cli_out, lib = tmp_path / "cli", tmp_path / "lib"
+    for name in names:
+        path = f"{name}_series.csv"
+        assert (cli_out / path).read_bytes() == (lib / path).read_bytes()
+    assert strip_timing((cli_out / "summary.csv").read_text()) == strip_timing(
+        (lib / "summary.csv").read_text())
+    payloads = [json.loads((d / "summary.json").read_text()) for d in (cli_out, lib)]
+    for payload in payloads:
+        for name in names:
+            payload[name].pop("mean_wall_time_sec")
+    assert payloads[0] == payloads[1]
 
 
 def test_write_run_outputs_matches_the_run_command(tmp_path):

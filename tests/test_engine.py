@@ -20,7 +20,7 @@ from nfplcache.engine import (
     run_experiment,
     run_one,
 )
-from nfplcache.policies import make_policy
+from nfplcache.policies import POLICY_NAMES, make_policy
 from nfplcache.traces import bpo_mask
 
 
@@ -229,23 +229,51 @@ def test_one_optimum_per_trace_and_capacity(monkeypatch, regen):
             assert r.opt_misses == oracle.opt_static(seeded, s.config.cache_capacity)[1]
 
 
-@pytest.mark.parametrize("name, batch", [("s-nfpl", 1), ("l-nfpl", 1), ("d-nfpl", 100),
-                                         ("fpl", 1), ("lfu", 1), ("lru", 1)])
-def test_run_one_memory_does_not_grow_with_the_horizon(name, batch):
-    # the trace and mask are inputs, built first; a copy of the 1M-request
-    # trace as a list of ids alone would take 8 MiB
-    n, c, t = 120, 100, 1_000_000
+@pytest.mark.parametrize("name, batch, t, given_mask", [
+    ("s-nfpl", 1, 1_000_000, True), ("l-nfpl", 1, 1_000_000, True),
+    ("d-nfpl", 100, 1_000_000, True), ("fpl", 1, 1_000_000, True),
+    ("lfu", 1, 1_000_000, True), ("lru", 1, 1_000_000, True),
+    # run_one draws the mask: a T-byte mask alone would take 3.8 MiB
+    ("lru", 1, 4_000_000, False),
+], ids=["s-nfpl-1", "l-nfpl-1", "d-nfpl-100", "fpl-1", "lfu-1", "lru-1", "lru-1-drawn-mask"])
+def test_run_one_memory_does_not_grow_with_the_horizon(name, batch, t, given_mask):
+    # the trace and a given mask are inputs, built first; a copy of the
+    # 1M-request trace as a list of ids alone would take 8 MiB
+    n, c = 120, 100
     trace = make_trace(TraceSpec(kind="zipf", n_files=n, length=t, seed=5))
-    mask = bpo_mask(t, 0.5, spawn_stream(1, 0))
+    mask = bpo_mask(t, 0.5, spawn_stream(1, 0)) if given_mask else None
     cfg = PolicyConfig(cache_capacity=c, batch_size=batch, observe_prob=0.5,
                        eta=default_eta(batch, c, t))
+    opt_misses = None if given_mask else 0  # skips the optimum's pass over 4M ids
     tracemalloc.start()
     try:
-        run_one(trace, PolicySpec(name, cfg), seed=1, mask=mask)
+        run_one(trace, PolicySpec(name, cfg), seed=1, mask=mask, opt_misses=opt_misses)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, f"{name}: peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+@pytest.mark.parametrize("batch", [1, 4])
+def test_run_one_leaks_no_numpy_scalars(monkeypatch, name, batch):
+    # blocks arrive as numpy arrays; a numpy id in a cache set or heap slows
+    # the list loops, and a numpy counter changes its repr in the outputs
+    made = []
+
+    def keep(*args, **kwargs):
+        made.append(make_policy(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "make_policy", keep)
+    _, trace, cfg = small_setup(batch_size=batch, observe_prob=0.7, sample_prob=0.5)
+    res = run_one(trace, PolicySpec(name, cfg), seed=2)
+    (policy,) = made
+    assert {type(f) for f in policy.cache} == {int}
+    counters = (res.total_misses, res.opt_misses, res.regret, res.heap_ops,
+                res.cache_refreshes, res.sampled_steps, res.score_changes)
+    assert {type(v) for v in counters} == {int}
+    assert {type(v) for v in res.miss_series} == {float}
 
 
 def test_unknown_policy_is_rejected_before_any_work(monkeypatch):

@@ -294,7 +294,7 @@ def check_blocks_against_reference(name, scenario, seed, **hooks):
 
     total = 0
     for lo, hi in zip(bounds, bounds[1:]):
-        total += pol.run_block(lo, requests[lo:hi], observed[lo:hi])
+        total += pol.run_block(lo, np.asarray(requests[lo:hi]), np.asarray(observed[lo:hi]))
         assert total == ref_misses[hi - 1]
         assert state(pol, with_gamma(hi)) == ref_states[hi]
         assert len(pol.cache) == config.cache_capacity
@@ -381,7 +381,7 @@ def test_lfu_heap_stays_at_capacity_over_a_long_trace():
     trace = gen_zipf(Catalog(n), t, 1.0, spawn_stream(0, 2))
     observed = spawn_stream(0, 0).bernoulli(0.5, t).tolist()
     pol = LfuPolicy(c, Catalog(n))
-    pol.run_block(0, trace.requests.tolist(), observed)
+    pol.run_block(0, trace.requests, np.asarray(observed))
     heap = pol._heap
     assert len(heap) == c
     assert {n - 1 - key % n for key in heap} == pol.cache
@@ -402,7 +402,7 @@ def test_sampling_bits_refill_across_chunks():
     got = 0
     bounds = [0, 7_001, 12_345, 25_000, horizon]
     for lo, hi in zip(bounds, bounds[1:]):
-        got += pol.run_block(lo, trace[lo:hi], observed[lo:hi])
+        got += pol.run_block(lo, np.asarray(trace[lo:hi]), np.asarray(observed[lo:hi]))
     assert got == want
     assert state(pol) == state(ref)
 
@@ -435,7 +435,7 @@ def test_unbatched_loop_over_a_long_run(name, p, q):
         if hi - lo == 1:
             got += not pol.step(hi, requests[lo], observed[lo]).hit
         else:
-            got += pol.run_block(lo, requests[lo:hi], observed[lo:hi])
+            got += pol.run_block(lo, np.asarray(requests[lo:hi]), np.asarray(observed[lo:hi]))
         assert got == want
         assert state(pol) == state(ref)
     assert swaps > 100
