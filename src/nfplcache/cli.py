@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .core import Catalog, PolicyConfig, Trace, default_eta
-from .engine import PolicySpec, TraceSpec, make_trace, run_experiment
+from .engine import TRACE_KINDS, PolicySpec, TraceSpec, make_trace, run_experiment
 from .metrics import (
     SUMMARY_COLUMNS,
     default_checkpoints,
@@ -25,9 +25,8 @@ from .metrics import (
 )
 from .oracle import regret_bound_caching
 from .policies import NFPL_VARIANTS, POLICY_NAMES
-from .traces import save_trace
+from .traces import load_trace, save_trace
 
-GEN_KINDS = ("zipf", "zipf-rr", "round-robin")
 NFPL_FAMILY = tuple(NFPL_VARIANTS)  # the policies that sample and carry a regret bound
 
 
@@ -54,13 +53,14 @@ def _parse_rates(value: str) -> list[float]:
 
 
 def _add_trace_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trace", help="path to a trace file (lines or csv)")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--trace", help="path to a trace file (lines or csv)")
+    source.add_argument("--gen-kind", choices=TRACE_KINDS, help="generate a synthetic trace")
     parser.add_argument("--id-column", help="csv column holding request ids")
     parser.add_argument("--n-files", type=int, help="catalog size override for file traces")
-    parser.add_argument("--gen-kind", choices=GEN_KINDS, help="generate a synthetic trace")
     parser.add_argument("--n", type=int, help="catalog size for synthetic traces")
     parser.add_argument("--t", type=int, help="trace length for synthetic traces")
-    parser.add_argument("--alpha", type=float, default=1.0, help="zipf exponent")
+    parser.add_argument("--alpha", type=float, help="zipf exponent (default: 1.0)")
     parser.add_argument("--trace-seed", type=int, help="seed for trace generation (default: --seed)")
 
 
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic trace file")
-    gen.add_argument("--kind", choices=GEN_KINDS, required=True)
+    gen.add_argument("--kind", choices=TRACE_KINDS, required=True)
     gen.add_argument("--n", type=int, required=True, help="catalog size")
     gen.add_argument("--t", type=int, required=True, help="trace length")
     gen.add_argument("--alpha", type=float, default=1.0, help="zipf exponent")
@@ -134,31 +134,39 @@ def _resolve_parallelism(requested: int, parser) -> int:
     return requested
 
 
-def _synthetic_spec(parser, kind: str, n, t, alpha: float, seed: int) -> TraceSpec:
+def _synthetic_spec(parser, kind: str, n, t, alpha, seed: int) -> TraceSpec:
     if n is None or t is None:
         parser.error("--gen-kind needs --n and --t")
     if n < 1 or t < 1:
         parser.error("--n and --t must be positive")
+    alpha = 1.0 if alpha is None else alpha
     if kind in ("zipf", "zipf-rr") and alpha <= 0:
         parser.error("--alpha must be positive for zipf traces")
     return TraceSpec(kind=kind, n_files=n, length=t, alpha=alpha, seed=seed)
 
 
 def _resolve_trace(args, parser) -> tuple:
-    """The trace spec and the shared trace; under ``--regen-trace-per-run``
-    there is none, as every run draws its own."""
-    if args.trace:
+    """The trace spec and the shared trace. A trace file has no spec; under
+    ``--regen-trace-per-run`` there is no shared trace, as every run draws
+    its own. A flag that only the other trace source reads is a usage error."""
+    source = "--trace" if args.trace is not None else "--gen-kind"
+    if source == "--trace":
+        other = {"--n": args.n, "--t": args.t, "--alpha": args.alpha,
+                 "--trace-seed": args.trace_seed}
+    else:
+        other = {"--id-column": args.id_column, "--n-files": args.n_files}
+    given = [flag for flag, value in other.items() if value is not None]
+    if given:
+        parser.error(f"{', '.join(given)} cannot be used with {source}")
+    if source == "--trace":
         if args.regen_trace_per_run:
             parser.error("--regen-trace-per-run needs a synthetic trace (--gen-kind)")
-        spec = TraceSpec(kind="file", path=args.trace, id_column=args.id_column)
-        trace = make_trace(spec)
+        trace = load_trace(args.trace, id_column=args.id_column)
         if args.n_files is not None:
             if args.n_files < trace.catalog.n_files:
                 parser.error("--n-files smaller than the ids present in the trace")
             trace = Trace(Catalog(args.n_files), trace.requests)
-        return spec, trace
-    if not args.gen_kind:
-        parser.error("either --trace or --gen-kind is required")
+        return None, trace
     if args.regen_trace_per_run and args.trace_seed is not None:
         parser.error("--trace-seed has no effect with --regen-trace-per-run, "
                      "which draws each run's trace from the run's seed")
@@ -176,9 +184,9 @@ def _resolve_eta(value: str, batch: int, capacity: int, horizon: int, p: float) 
 
 
 def _setup(args, parser) -> tuple:
-    """The parallelism, trace spec, shared trace (None under
-    ``--regen-trace-per-run``), catalog size, horizon and base policy config
-    of ``run`` and ``sweep``."""
+    """The parallelism, trace spec (None for a trace file), shared trace
+    (None under ``--regen-trace-per-run``), catalog size, horizon and base
+    policy config of ``run`` and ``sweep``."""
     if args.runs < 1:
         parser.error("--runs must be positive")
     parallelism = _resolve_parallelism(args.parallel, parser)
@@ -322,7 +330,7 @@ def cmd_run(args, parser) -> int:
         checkpoints=default_checkpoints(horizon, args.checkpoints), trace=trace,
     )
     out = Path(args.out)
-    rows = write_run_outputs(out, results, specs, trace_kind=trace_spec.kind,
+    rows = write_run_outputs(out, results, specs, trace_kind=args.gen_kind or "file",
                              n_files=n_files, horizon=horizon,
                              base_seed=args.seed, fmt=args.format)
     if args.emit_plot_script:

@@ -36,10 +36,9 @@ from .traces import (
     gen_round_robin,
     gen_zipf,
     gen_zipf_rr,
-    load_trace,
 )
 
-TRACE_KINDS = ("zipf", "zipf-rr", "round-robin", "file")
+TRACE_KINDS = ("zipf", "zipf-rr", "round-robin")
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,10 @@ class TraceSpec:
     """Recipe for building a trace, so workers can regenerate it."""
 
     kind: str
-    n_files: int = 0
-    length: int = 0
+    n_files: int
+    length: int
     alpha: float = 1.0
     seed: int = 0
-    path: str | None = None
-    id_column: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in TRACE_KINDS:
@@ -69,10 +66,6 @@ class TraceSpec:
 
 def make_trace(spec: TraceSpec, seed: int | None = None) -> Trace:
     """Materialize a trace; ``seed`` overrides the spec's own seed."""
-    if spec.kind == "file":
-        if not spec.path:
-            raise ValueError("file traces need a path")
-        return load_trace(spec.path, id_column=spec.id_column)
     rng = spawn_stream(spec.seed if seed is None else seed, STREAM_TRACE)
     catalog = Catalog(spec.n_files)
     if spec.kind == "zipf":
@@ -201,7 +194,7 @@ def _run_seed(seed: int) -> list[RunResult]:
 
 
 def run_experiment(
-    trace_spec: TraceSpec,
+    trace_spec: TraceSpec | None,
     policy_specs: list[PolicySpec],
     runs: int,
     base_seed: int,
@@ -215,12 +208,19 @@ def run_experiment(
 
     ``paired=True`` requires a single observation probability across the
     policy set (all policies share each seed's mask). A pre-built trace
-    may be passed to skip generation; otherwise the trace is built once
-    from the spec, or per run of a synthetic spec when
-    ``regen_trace_per_run`` is set, which takes no pre-built trace. The
-    optimum is computed once per trace and capacity. Checkpoints and policy
-    names are checked before any run. The pool gets no more workers than
-    there are seeds; with one worker the seeds run in this process.
+    may be passed with ``trace_spec=None``, when no spec can regenerate it,
+    or to skip generation; otherwise the trace is built once from the spec, or
+    per run when ``regen_trace_per_run`` is set, which takes a spec and no
+    pre-built trace. The optimum is computed once per trace and capacity.
+    Checkpoints and policy names are checked before any run. The pool gets
+    no more workers than there are seeds; with one worker the seeds run in
+    this process.
+
+    The experiment holds O(T) memory by design: the trace takes 8 bytes a
+    request, and each seed's observation mask is drawn whole (unpaired, one
+    policy's at a time), one byte a request more. Only ``run_one``'s own
+    state is O(N + C). Drawing the mask inside each ``run_one`` instead
+    would repeat the draw once per policy whenever p < 1.
     """
     if runs < 1:
         raise ValueError("need at least one run")
@@ -242,13 +242,15 @@ def run_experiment(
 
     opt_cache: dict[int, int] = {}
     if regen_trace_per_run:
-        if trace_spec.kind == "file":
+        if trace_spec is None:
             raise ValueError("regen_trace_per_run needs a synthetic trace spec")
         if trace is not None:
             raise ValueError("regen_trace_per_run draws every run's trace; pass no trace")
         shared_trace = None
         checkpoints = _checked_checkpoints(checkpoints, trace_spec.length)
     else:
+        if trace is None and trace_spec is None:
+            raise ValueError("run_experiment needs a trace spec or a trace")
         shared_trace = trace if trace is not None else make_trace(trace_spec)
         checkpoints = _checked_checkpoints(checkpoints, len(shared_trace))
         for spec in policy_specs:

@@ -63,12 +63,18 @@ class BoundParams:
     ``r_hat`` bounds the per-round cost, ``a_hat`` the l1 norm of any
     cost estimate, ``diameter`` the l1 diameter of the decision set, and
     ``t_rounds`` the number of decision rounds.
+
+    For caching with batch size B, capacity C, horizon T and probabilities
+    p and q, ``r_hat = a_hat = B/(pq)``, ``diameter = 2C``,
+    ``t_rounds = T/B + 1`` (not always an integer) and ``p = pq``; at
+    ``eta = sqrt(BT/2C)`` the generic bound equals
+    :func:`regret_bound_caching`.
     """
 
     r_hat: float
     a_hat: float
     diameter: float
-    t_rounds: int
+    t_rounds: float
     eta: float
     p: float = 1.0
 

@@ -124,6 +124,9 @@ class _BlockPolicy:
     """
 
     _one = None  # step()'s one-request block: made by the first call, rewritten by each
+    # The work counters of a run. NfplPolicy keeps its own; LFU's heapq calls
+    # are not counted, as reporting them would move recorded results.
+    heap_ops = cache_refreshes = score_changes = sampled_steps = 0
 
     def __init__(self, cache_capacity: int, catalog: Catalog):
         n = catalog.n_files
@@ -204,7 +207,7 @@ class NfplPolicy(_BlockPolicy):
                 raise ValueError("beta schedule must cover the whole horizon")
         self._beta = beta
 
-        self.flag = False
+        self._flag = False
         self.cache_refreshes = 0
         self.sampled_steps = 0
         self.score_changes = 0
@@ -537,7 +540,7 @@ class NfplPolicy(_BlockPolicy):
         ceil = math.ceil
         batch = self._batch
         boundary = (t // batch + 1) * batch
-        flag = self.flag
+        flag = self._flag
         misses = sampled = changes = refreshes = ops = 0
 
         for f, c in zip(requests, counted):
@@ -596,7 +599,7 @@ class NfplPolicy(_BlockPolicy):
                             cache.add(admitted)
                         pending.clear()
 
-        self.flag = flag
+        self._flag = flag
         self.sampled_steps += sampled
         self.score_changes += changes
         self.cache_refreshes += refreshes
@@ -609,10 +612,7 @@ class LfuPolicy(_BlockPolicy):
 
     Counts use observed requests only. On an observed miss the requested
     file displaces the least-frequent cached file (ties evicting the
-    higher id). With ``admission_threshold`` set, the swap happens only
-    when the candidate's count strictly exceeds the smallest cached
-    count, which protects established files on churning traces. Starts
-    with files 0..C-1 cached.
+    higher id). Starts with files 0..C-1 cached.
 
     The cached files sit in a ``heapq`` list of exactly C int keys
     ``count * n + (n - 1 - id)``: the least key is the least count and,
@@ -622,22 +622,11 @@ class LfuPolicy(_BlockPolicy):
     it the true victim.
     """
 
-    heap_ops = 0  # heapq calls are not counted; reporting them moves recorded results
-    cache_refreshes = 0
-    score_changes = 0
-
-    def __init__(
-        self,
-        cache_capacity: int,
-        catalog: Catalog,
-        admission_threshold: bool = False,
-    ):
+    def __init__(self, cache_capacity: int, catalog: Catalog):
         super().__init__(cache_capacity, catalog)
         n = self.n_files
         self.counts = [0] * n
         self.cache = set(range(cache_capacity))
-        self.admission_threshold = admission_threshold
-        self.sampled_steps = 0
         # the keys of files C-1..0 at count 0, ascending and so already a heap
         self._heap = list(range(n - cache_capacity, n))
 
@@ -647,7 +636,6 @@ class LfuPolicy(_BlockPolicy):
         heap = self._heap
         n = len(counts)
         last = n - 1
-        threshold = self.admission_threshold
         misses = sampled = 0
         for f, obs in zip(requests.tolist(), observed.tolist()):
             if f in cache:
@@ -666,10 +654,9 @@ class LfuPolicy(_BlockPolicy):
                     if count == stale:
                         break
                     heapreplace(heap, count * n + r)
-                if not threshold or c > count:
-                    heapreplace(heap, c * n + last - f)
-                    cache.remove(last - r)
-                    cache.add(f)
+                heapreplace(heap, c * n + last - f)
+                cache.remove(last - r)
+                cache.add(f)
         self.sampled_steps += sampled
         return misses
 
@@ -677,14 +664,9 @@ class LfuPolicy(_BlockPolicy):
 class LruPolicy(_BlockPolicy):
     """Evict-least-recently-used; recency moves on observed requests only."""
 
-    heap_ops = 0
-    cache_refreshes = 0
-    score_changes = 0
-
     def __init__(self, cache_capacity: int, catalog: Catalog):
         super().__init__(cache_capacity, catalog)
         self._recency = OrderedDict((f, None) for f in range(cache_capacity))
-        self.sampled_steps = 0
 
     @property
     def cache(self):

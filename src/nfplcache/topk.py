@@ -69,7 +69,7 @@ class TopCTracker:
     its caller.
     """
 
-    __slots__ = ("capacity", "scores", "heap", "pos", "op_counter")
+    __slots__ = ("scores", "heap", "pos", "op_counter")
 
     def __init__(self, scores, capacity: int):
         n = len(scores)
@@ -77,7 +77,6 @@ class TopCTracker:
             raise ValueError("capacity must be positive")
         if capacity > n:
             raise ValueError(f"capacity {capacity} exceeds file count {n}")
-        self.capacity = capacity
         self.scores = [float(s) for s in scores]
         self.op_counter = 0
         members = heapq.nsmallest(capacity, range(n), key=lambda f: (-self.scores[f], f))

@@ -190,6 +190,28 @@ def test_n_files_sizes_the_catalog_of_a_trace_file(tmp_path, n_files, code):
         assert payload["experiment"]["n_files"] == n_files
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("source", [
+    ["--trace", "TRACE", "--gen-kind", "zipf", "--n", "50", "--t", "900"],
+    ["--gen-kind", "zipf", "--n", "50", "--t", "500", "--n-files", "10"],
+    ["--gen-kind", "zipf", "--n", "50", "--t", "500", "--id-column", "x"],
+    ["--trace", "TRACE", "--n", "7", "--t", "9"],
+    ["--trace", "TRACE", "--trace-seed", "3"],
+    ["--trace", "TRACE", "--alpha", "2"],
+], ids=["both-sources", "n-files", "id-column", "n-and-t", "trace-seed", "alpha"])
+def test_flags_of_the_other_trace_source_are_usage_errors(tmp_path, command, source):
+    # a file trace reads no generator flag and a generated one no file flag
+    trace_path = tmp_path / "t.txt"
+    run_cli(["gen", "--kind", "round-robin", "--n", "50", "--t", "500",
+             "--out", str(trace_path)])
+    source = [str(trace_path) if flag == "TRACE" else flag for flag in source]
+    rates = ["--rates", "0.5"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, *source, "--policies", "s-nfpl", "--c", "3", *rates,
+                 "--out", str(tmp_path / "res")])
+    assert exc.value.code == 2
+
+
 REGEN = ["--gen-kind", "zipf", "--n", "200", "--t", "5000", "--c", "10", "--runs", "3",
          "--seed", "4", "--regen-trace-per-run"]
 

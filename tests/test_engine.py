@@ -82,12 +82,10 @@ def test_run_experiment_rejects_bad_checkpoints(checkpoints, regen):
                        regen_trace_per_run=regen, checkpoints=checkpoints)
 
 
-def test_regen_trace_per_run_needs_a_synthetic_spec(tmp_path):
-    path = tmp_path / "t.txt"
-    path.write_text("0\n1\n2\n")
+def test_regen_trace_per_run_needs_a_synthetic_spec():
     cfg = PolicyConfig(cache_capacity=1, eta=1.0)
     with pytest.raises(ValueError, match="synthetic"):
-        run_experiment(TraceSpec(kind="file", path=str(path)), [PolicySpec("lfu", cfg)],
+        run_experiment(None, [PolicySpec("lfu", cfg)],
                        runs=1, base_seed=0, regen_trace_per_run=True)
 
 

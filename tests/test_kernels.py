@@ -146,10 +146,9 @@ class RefNfpl:
 class RefLfu:
     heap_ops = cache_refreshes = score_changes = 0
 
-    def __init__(self, cache_capacity, catalog, admission_threshold=False):
+    def __init__(self, cache_capacity, catalog):
         self.counts = [0] * catalog.n_files
         self.cache = set(range(cache_capacity))
-        self.admission_threshold = admission_threshold
         self.sampled_steps = 0
         self._heap = [(0, -f, f) for f in range(cache_capacity)]
         heapify(self._heap)
@@ -171,12 +170,11 @@ class RefLfu:
             if hit:
                 heappush(self._heap, (c, -request, request))
             else:
-                min_count, victim = self._least_frequent()
-                if not self.admission_threshold or c > min_count:
-                    heappop(self._heap)
-                    self.cache.remove(victim)
-                    self.cache.add(request)
-                    heappush(self._heap, (c, -request, request))
+                _, victim = self._least_frequent()
+                heappop(self._heap)
+                self.cache.remove(victim)
+                self.cache.add(request)
+                heappush(self._heap, (c, -request, request))
         return hit
 
 
@@ -206,20 +204,12 @@ class RefLru:
 def make_reference(name, config, catalog, horizon, rng, **hooks):
     if name == "lfu":
         return RefLfu(config.cache_capacity, catalog)
-    if name == "lfu-threshold":
-        return RefLfu(config.cache_capacity, catalog, admission_threshold=True)
     if name == "lru":
         return RefLru(config.cache_capacity, catalog)
     if name == "fpl":
         return RefNfpl("static", True, config, catalog, horizon, rng, **hooks)
     mode = {"s-nfpl": "static", "d-nfpl": "dynamic", "l-nfpl": "lazy"}[name]
     return RefNfpl(mode, False, config, catalog, horizon, rng, **hooks)
-
-
-def make_subject(name, config, catalog, horizon, rng, **hooks):
-    if name == "lfu-threshold":
-        return LfuPolicy(config.cache_capacity, catalog, admission_threshold=True)
-    return make_policy(name, config, catalog, horizon, rng, **hooks)
 
 
 def state(policy, with_gamma=True) -> tuple:
@@ -243,7 +233,7 @@ def state(policy, with_gamma=True) -> tuple:
 
 # ---------------------------------------------------------------- properties
 
-NAMES = ("s-nfpl", "l-nfpl", "d-nfpl", "fpl", "lfu", "lru", "lfu-threshold")
+NAMES = ("s-nfpl", "l-nfpl", "d-nfpl", "fpl", "lfu", "lru")
 
 
 @st.composite
@@ -278,7 +268,7 @@ def check_blocks_against_reference(name, scenario, seed, **hooks):
     catalog = Catalog(n)
     horizon = len(requests)
     ref = make_reference(name, config, catalog, horizon, spawn_stream(seed, 1), **hooks)
-    pol = make_subject(name, config, catalog, horizon, spawn_stream(seed, 1), **hooks)
+    pol = make_policy(name, config, catalog, horizon, spawn_stream(seed, 1), **hooks)
 
     def with_gamma(t):
         return name != "l-nfpl" or t % config.batch_size == 0

@@ -120,6 +120,25 @@ def test_general_bound_reproduces_caching_leading_term():
     assert at_star == pytest.approx(lead)
 
 
+@pytest.mark.parametrize("b, c, t, p, q", [
+    (1, 100, 200_000, 1.0, 1.0),
+    (10, 10, 10_000, 0.5, 0.5),
+    (100, 100, 200_000, 1.0, 0.5),
+    (7, 3, 1000, 0.3, 0.9),
+])
+def test_general_bound_with_caching_constants_is_the_caching_bound(b, c, t, p, q):
+    params = BoundParams(
+        r_hat=b / (p * q),
+        a_hat=b / (p * q),
+        diameter=2 * c,
+        t_rounds=t / b + 1,
+        eta=(b * t / (2 * c)) ** 0.5,
+        p=p * q,
+    )
+    assert regret_bound_general(params) == pytest.approx(
+        regret_bound_caching(b, c, t, p, q), rel=1e-12)
+
+
 def test_general_bound_degenerate_diameter():
     params = BoundParams(r_hat=2.0, a_hat=3.0, diameter=0.0, t_rounds=10, eta=1.5, p=1.0)
     assert regret_bound_general(params) == pytest.approx(2.0 * 3.0 * 10 / 1.5)

@@ -357,34 +357,11 @@ def test_lfu_always_evicts_least_frequent_on_miss():
     assert pol.cache == {1}  # admitted despite the lower count
 
 
-def test_lfu_threshold_variant_blocks_cold_admission():
-    pol = LfuPolicy(1, Catalog(2), admission_threshold=True)
-    steps = drive(pol, [0, 0, 1])
-    assert [s.hit for s in steps] == [True, True, False]
-    assert pol.cache == {0}  # count 1 does not exceed count 2
-
-
-def test_lfu_threshold_all_distinct_trace_never_evicts():
-    pol = LfuPolicy(1, Catalog(6), admission_threshold=True)
-    steps = drive(pol, [0, 1, 2, 3, 4, 5])
-    assert [s.hit for s in steps] == [True] + [False] * 5
-    assert pol.cache == {0}
-
-
 def test_lfu_unobserved_requests_change_nothing():
     pol = LfuPolicy(2, Catalog(5))
     drive(pol, [3, 4, 3, 4], observed=[False] * 4)
     assert pol.cache == {0, 1}
     assert pol.counts == [0] * 5
-
-
-def test_lfu_threshold_compares_against_the_current_least_count():
-    # the hits leave the heap's keys at count 0; a comparison against the
-    # stale root would admit 2 at its first miss
-    pol = LfuPolicy(2, Catalog(3), admission_threshold=True)
-    caches = [set(pol.step(t, f, True).cache_after)
-              for t, f in enumerate([0, 0, 1, 1, 2, 2, 2], start=1)]
-    assert caches == [{0, 1}] * 6 + [{0, 2}]
 
 
 def test_lfu_tie_evicts_higher_id():
