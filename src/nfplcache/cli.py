@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--kind", choices=TRACE_KINDS, required=True)
     gen.add_argument("--n", type=int, required=True, help="catalog size")
     gen.add_argument("--t", type=int, required=True, help="trace length")
-    gen.add_argument("--alpha", type=float, default=1.0, help="zipf exponent")
+    gen.add_argument("--alpha", type=float, help="zipf exponent (default: 1.0)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output trace path")
 
@@ -139,6 +139,8 @@ def _synthetic_spec(parser, kind: str, n, t, alpha, seed: int) -> TraceSpec:
         parser.error("--gen-kind needs --n and --t")
     if n < 1 or t < 1:
         parser.error("--n and --t must be positive")
+    if kind == "round-robin" and alpha is not None:
+        parser.error("--alpha applies only to zipf traces")
     alpha = 1.0 if alpha is None else alpha
     if kind in ("zipf", "zipf-rr") and alpha <= 0:
         parser.error("--alpha must be positive for zipf traces")

@@ -124,8 +124,12 @@ class _BlockPolicy:
     """
 
     _one = None  # step()'s one-request block: made by the first call, rewritten by each
-    # The work counters of a run. NfplPolicy keeps its own; LFU's heapq calls
-    # are not counted, as reporting them would move recorded results.
+    # The work counters of a run. Every loop reads ``sampled_steps`` from the
+    # block's bits once it ends: NFPL's counted bits, LFU's and LRU's
+    # observation bits. NfplPolicy keeps the others: ``heap_ops`` is its
+    # tracker's; ``score_changes`` is the counted bits under static noise and
+    # the grid crossings under lazy noise. LFU's heapq calls are not counted,
+    # as reporting them would move recorded results.
     heap_ops = cache_refreshes = score_changes = sampled_steps = 0
 
     def __init__(self, cache_capacity: int, catalog: Catalog):
@@ -152,10 +156,9 @@ class NfplPolicy(_BlockPolicy):
 
     ``name`` is one of :data:`NFPL_VARIANTS`, which gives the noise mode
     and whether every request is counted regardless of its observation bit.
-    ``_counted`` makes the whole sampling decision for a block.
-    ``gamma0`` and ``beta`` are test hooks that bypass the stream draws:
-    ``gamma0`` injects the initial noise vector, ``beta`` a full per-step
-    sampling schedule.
+    ``_counted`` makes the whole sampling decision for a block, from the
+    policy's own stream. ``gamma0`` is the one test hook: it injects the
+    initial noise vector in place of its draw.
     """
 
     def __init__(
@@ -167,7 +170,6 @@ class NfplPolicy(_BlockPolicy):
         rng: RngStream,
         *,
         gamma0=None,
-        beta=None,
     ):
         if name not in NFPL_VARIANTS:
             raise ValueError(
@@ -201,11 +203,6 @@ class NfplPolicy(_BlockPolicy):
         self._beta_rng = None
         self._batch_bits = None  # fixed mode: the sampled positions of the last batch drawn
         self._drawn_batch = -1
-        if beta is not None:
-            beta = np.asarray(beta, dtype=bool)
-            if beta.shape != (horizon,):
-                raise ValueError("beta schedule must cover the whole horizon")
-        self._beta = beta
 
         self._flag = False
         self.cache_refreshes = 0
@@ -292,9 +289,6 @@ class NfplPolicy(_BlockPolicy):
         ``observed`` itself."""
         if self._full_observation:
             observed = np.ones(len(observed), dtype=bool)
-        beta = self._beta
-        if beta is not None:
-            return observed & beta[t0:t0 + len(observed)]
         b = self.config.fixed_per_batch
         if b is None:
             q = self.config.sample_prob
@@ -541,7 +535,7 @@ class NfplPolicy(_BlockPolicy):
         batch = self._batch
         boundary = (t // batch + 1) * batch
         flag = self._flag
-        misses = sampled = changes = refreshes = ops = 0
+        misses = changes = refreshes = ops = 0
 
         for f, c in zip(requests, counted):
             t += 1
@@ -549,12 +543,10 @@ class NfplPolicy(_BlockPolicy):
                 misses += 1
             if c:
                 counts[f] += 1
-                sampled += 1
                 flag = True
                 if static:
                     # the tracker's increase-key protocol: a call only
                     # when the heap can move
-                    changes += 1
                     s = scores[f] + 1.0
                     i = pos[f]
                     if i >= 0:
@@ -600,8 +592,9 @@ class NfplPolicy(_BlockPolicy):
                         pending.clear()
 
         self._flag = flag
+        sampled = counted.count(True)
         self.sampled_steps += sampled
-        self.score_changes += changes
+        self.score_changes += sampled if static else changes
         self.cache_refreshes += refreshes
         tracker.op_counter += ops
         return misses
@@ -636,16 +629,15 @@ class LfuPolicy(_BlockPolicy):
         heap = self._heap
         n = len(counts)
         last = n - 1
-        misses = sampled = 0
-        for f, obs in zip(requests.tolist(), observed.tolist()):
+        observed = observed.tolist()
+        misses = 0
+        for f, obs in zip(requests.tolist(), observed):
             if f in cache:
                 if obs:
-                    sampled += 1
                     counts[f] += 1
                 continue
             misses += 1
             if obs:
-                sampled += 1
                 c = counts[f] + 1
                 counts[f] = c
                 while True:  # re-key the root until its count is current
@@ -657,7 +649,7 @@ class LfuPolicy(_BlockPolicy):
                 heapreplace(heap, c * n + last - f)
                 cache.remove(last - r)
                 cache.add(f)
-        self.sampled_steps += sampled
+        self.sampled_steps += observed.count(True)
         return misses
 
 
@@ -676,19 +668,19 @@ class LruPolicy(_BlockPolicy):
         recency = self._recency
         to_front = recency.move_to_end
         pop_oldest = recency.popitem
-        misses = sampled = 0
-        for f, obs in zip(requests.tolist(), observed.tolist()):
+        observed = observed.tolist()
+        misses = 0
+        for f, obs in zip(requests.tolist(), observed):
             hit = f in recency
             if not hit:
                 misses += 1
             if obs:
-                sampled += 1
                 if hit:
                     to_front(f)
                 else:
                     pop_oldest(False)
                     recency[f] = None
-        self.sampled_steps += sampled
+        self.sampled_steps += observed.count(True)
         return misses
 
 
@@ -698,17 +690,18 @@ def make_policy(
     catalog: Catalog,
     horizon: int,
     rng: RngStream,
-    **hooks,
+    *,
+    gamma0=None,
 ):
     """Build a policy instance from its CLI name.
 
-    ``hooks`` are :class:`NfplPolicy`'s test hooks; LFU and LRU draw no
-    noise and sample nothing, so they take none.
+    ``gamma0`` is :class:`NfplPolicy`'s test hook for the initial noise;
+    LFU and LRU draw no noise, so they reject it.
     """
-    if name in ("lfu", "lru") and hooks:
-        raise TypeError(f"{name} takes no hooks, got {', '.join(sorted(hooks))}")
+    if name in ("lfu", "lru") and gamma0 is not None:
+        raise TypeError(f"{name} draws no noise and takes no gamma0")
     if name == "lfu":
         return LfuPolicy(config.cache_capacity, catalog)
     if name == "lru":
         return LruPolicy(config.cache_capacity, catalog)
-    return NfplPolicy(name, config, catalog, horizon, rng, **hooks)
+    return NfplPolicy(name, config, catalog, horizon, rng, gamma0=gamma0)

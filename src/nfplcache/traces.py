@@ -159,7 +159,8 @@ def _parse_csv(path: Path, id_column: str) -> list[int]:
 
 def load_trace(path: str | Path, id_column: str | None = None) -> Trace:
     """Read a trace file: one decimal id per line, or for a ``.csv`` path a
-    header row and the id column named ``id_column``.
+    header row and the id column named ``id_column``, which only a ``.csv``
+    path takes.
 
     Ids that are already dense and 0-based are kept as they are, so saving
     and reloading a trace is the identity. Other ids are remapped to dense
@@ -170,6 +171,8 @@ def load_trace(path: str | Path, id_column: str | None = None) -> Trace:
         if id_column is None:
             raise ValueError("csv format requires an id column name")
         raw = _parse_csv(path, id_column)
+    elif id_column is not None:
+        raise ValueError(f"{path}: an id column applies only to a .csv trace")
     else:
         raw = _parse_lines(path)
     if not raw:

@@ -33,6 +33,20 @@ def test_gen_zipf_zero_alpha_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["gen", "--kind", "round-robin", "--n", "30", "--t", "300"],
+    ["run", "--gen-kind", "round-robin", "--n", "30", "--t", "300",
+     "--policies", "lru", "--c", "3"],
+    ["sweep", "--gen-kind", "round-robin", "--n", "30", "--t", "300",
+     "--policies", "s-nfpl", "--c", "3", "--rates", "0.5"],
+], ids=["gen", "run", "sweep"])
+def test_alpha_with_a_round_robin_trace_is_usage_error(tmp_path, command):
+    # a round-robin trace reads no exponent
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*command, "--alpha", "5", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+
+
 def test_gen_is_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     flags = ["gen", "--kind", "zipf", "--n", "50", "--t", "500", "--seed", "9"]
@@ -168,6 +182,16 @@ def test_run_on_saved_trace_file(tmp_path):
     assert code == 0
     payload = json.loads((out / "summary.json").read_text())
     assert payload["experiment"]["n_files"] == 30
+
+
+def test_id_column_with_a_plain_lines_trace_is_runtime_error(tmp_path, capsys):
+    trace_path = tmp_path / "t.txt"
+    run_cli(["gen", "--kind", "round-robin", "--n", "30", "--t", "300",
+             "--out", str(trace_path)])
+    code = run_cli(["run", "--trace", str(trace_path), "--id-column", "nope",
+                    "--policies", "lru", "--c", "3", "--out", str(tmp_path / "res")])
+    assert code == 3
+    assert "id column" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_files, code", [(45, 0), (30, 0), (29, 2), (0, 2)])

@@ -110,17 +110,36 @@ def test_batch_gating_updates_only_at_boundaries():
 def test_out_of_order_steps_rejected():
     pol = nfpl(3, 1, 10)
     pol.step(1, 0, True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="arrive in order"):
         pol.step(3, 0, True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="arrive in order"):
         pol.step(1, 0, True)
 
 
 def test_horizon_overrun_rejected():
     pol = nfpl(3, 1, 2)
     drive(pol, [0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="beyond horizon"):
         pol.step(3, 0, True)
+
+
+@pytest.mark.parametrize("name", ["s-nfpl", "d-nfpl", "l-nfpl", "fpl"])
+def test_run_block_rejects_a_block_out_of_order_or_past_the_horizon(name):
+    pol = nfpl(4, 1, 6, b=2, name=name)
+    ids, bits = np.array([0, 1, 2]), np.ones(3, dtype=bool)
+    for t0 in (1, -1):
+        with pytest.raises(ValueError, match="arrive in order"):
+            pol.run_block(t0, ids, bits)
+    pol.run_block(0, ids, bits)
+    for t0 in (0, 4):
+        with pytest.raises(ValueError, match="arrive in order"):
+            pol.run_block(t0, ids, bits)
+    with pytest.raises(ValueError, match="arrive in order"):
+        pol.step(5, 0, True)
+    with pytest.raises(ValueError, match="beyond horizon"):
+        pol.run_block(3, np.array([0, 1, 2, 3]), np.ones(4, dtype=bool))
+    pol.run_block(3, ids, bits)
+    assert pol.counts.sum() == pol.sampled_steps == 6  # the rejected blocks counted nothing
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
@@ -185,17 +204,21 @@ def test_exact_counts_under_full_observation():
     assert pol.counts.tolist() == np.bincount(trace.requests, minlength=n).tolist()
 
 
-def test_counts_recount_under_partial_observation():
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("name", ["s-nfpl", "l-nfpl", "d-nfpl"])
+def test_counts_recount_under_partial_observation(name, b):
     n, t = 10, 300
     rng = np.random.default_rng(4)
     requests = rng.integers(0, n, t).tolist()
-    observed = rng.random(t) < 0.5
-    beta = rng.random(t) < 0.7
-    pol = nfpl(n, 3, t, eta=2.0, beta=beta.tolist())
-    drive(pol, requests, observed=observed.tolist())
+    observed = (rng.random(t) < 0.5).tolist()
+    cfg = PolicyConfig(cache_capacity=3, batch_size=b, eta=2.0, sample_prob=0.7)
+    pol = NfplPolicy(name, cfg, Catalog(n), t, spawn_stream(0, 1))
+    drive(pol, requests, observed=observed)
+    # only observed requests draw a sampling bit, in order, from substream 1
+    sampled = iter(spawn_stream(0, 1).substream(1).bernoulli(0.7, sum(observed)).tolist())
     expected = [0] * n
-    for f, d, b in zip(requests, observed, beta):
-        if d and b:
+    for f, d in zip(requests, observed):
+        if d and next(sampled):
             expected[f] += 1
     assert pol.counts.tolist() == expected
     assert pol.sampled_steps == sum(expected)
@@ -331,14 +354,6 @@ def test_fixed_sampling_counts_b_per_batch_when_fully_observed():
     assert pol.sampled_steps == 16
 
 
-def test_beta_override_is_respected():
-    beta = [True, False, True, False]
-    pol = nfpl(4, 1, 4, gamma0=[0.9, 0.5, 0.3, 0.1], beta=beta)
-    drive(pol, [1, 1, 1, 1])
-    assert pol.counts.tolist() == [0, 2, 0, 0]
-    assert pol.sampled_steps == 2
-
-
 def test_bernoulli_sampling_rate_is_roughly_q():
     t = 20_000
     cfg = PolicyConfig(cache_capacity=2, eta=2.0, sample_prob=0.3)
@@ -406,11 +421,10 @@ def test_make_policy_dispatch_and_unknown_name():
 
 @pytest.mark.parametrize("name", ["lfu", "lru"])
 def test_make_policy_rejects_hooks_for_lfu_and_lru(name):
-    # neither policy draws noise or samples, so a hook would be ignored
+    # neither policy draws noise, so the hook would be ignored
     cfg = PolicyConfig(cache_capacity=2, eta=1.0)
-    with pytest.raises(TypeError, match="beta, gamma0"):
-        make_policy(name, cfg, Catalog(5), 10, spawn_stream(0, 1),
-                    gamma0=[0.1] * 5, beta=[True] * 3)
+    with pytest.raises(TypeError, match="gamma0"):
+        make_policy(name, cfg, Catalog(5), 10, spawn_stream(0, 1), gamma0=[0.1] * 5)
 
 
 def test_fpl_ignores_the_observation_mask():

@@ -236,3 +236,10 @@ def test_csv_format_with_named_column(tmp_path):
         load_trace(path, id_column="nope")
     with pytest.raises(ValueError):
         load_trace(path)  # csv needs a column name
+
+
+def test_plain_lines_file_rejects_an_id_column(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_text("3\n1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="only to a .csv trace"):
+        load_trace(path, id_column="obj_id")
