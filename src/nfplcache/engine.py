@@ -6,6 +6,13 @@ so the output is identical at any parallelism level. Within one seed all
 policies see the same observation mask by default, which pairs the
 comparison; ``paired=False`` gives each policy its own mask substream.
 
+LFU and LRU (``policies.SEEDLESS``) read no randomness, so at full
+observation (``observe_prob == 1``) on a shared trace every seed's run of
+them is the same run: they are simulated once, on the first seed, and the
+other seeds' records are copies with ``seed`` replaced. A copy keeps the
+one run's ``wall_time``. At p < 1 the mask, and under
+``regen_trace_per_run`` the trace, differs between seeds, so every seed runs.
+
 ``run_one`` owns the checkpoints: it cuts the trace and mask at every
 checkpoint and every 65 536 requests, hands each segment to the policy's
 ``run_block`` as numpy views and reads the miss ratio where a segment ends
@@ -16,7 +23,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import zip_longest
 
 from .core import (
     STREAM_BPO,
@@ -29,7 +37,7 @@ from .core import (
 )
 from .metrics import AggregateResult, RunResult, aggregate, default_checkpoints
 from .oracle import opt_static
-from .policies import POLICY_NAMES, make_policy
+from .policies import POLICY_NAMES, SEEDLESS, make_policy
 from .traces import (
     ObservationMask,
     bpo_mask,
@@ -169,6 +177,8 @@ def _run_seed(seed: int) -> list[RunResult]:
     if trace is None:
         trace = make_trace(ctx["trace_spec"], seed=seed)
     specs = ctx["specs"]
+    # seedless runs happen on the first seed only; the others copy them
+    skipped = ctx["seedless"] if seed != ctx["base_seed"] else ()
     checkpoints = ctx["checkpoints"]
     opts = dict(ctx["opt_misses"])  # empty for a per-seed trace, filled as runs compute it
     results = []
@@ -179,7 +189,11 @@ def _run_seed(seed: int) -> list[RunResult]:
         shared = None
         if ctx["paired"]:
             shared = bpo_mask(len(trace), specs[0].config.observe_prob, bpo)
+        # idx is the spec's place in the full list: it picks the unpaired
+        # mask substream, so skipped specs must not shift it
         for idx, spec in enumerate(specs):
+            if spec.name in skipped:
+                continue
             mask = shared
             if mask is None:
                 mask = bpo_mask(len(trace), spec.config.observe_prob, bpo.substream(idx))
@@ -213,8 +227,14 @@ def run_experiment(
     per run when ``regen_trace_per_run`` is set, which takes a spec and no
     pre-built trace. The optimum is computed once per trace and capacity.
     Checkpoints and policy names are checked before any run. The pool gets
-    no more workers than there are seeds; with one worker the seeds run in
-    this process.
+    no more workers than there are seeds with runs to do; with one worker
+    the seeds run in this process.
+
+    LFU and LRU at ``observe_prob == 1`` on a shared trace read no
+    randomness, so they are simulated on ``base_seed`` only; every other
+    seed's record is a copy of that ``RunResult`` with ``seed`` replaced,
+    and keeps its ``wall_time``. An experiment of only such policies runs
+    one seed, in this process.
 
     The experiment holds O(T) memory by design: the trace takes 8 bytes a
     request, and each seed's observation mask is drawn whole (unpaired, one
@@ -258,6 +278,11 @@ def run_experiment(
             if c not in opt_cache:
                 opt_cache[c] = opt_static(shared_trace, c)[1]
 
+    # no seed can change the run of a seedless policy at full observation
+    # on a shared trace
+    seedless = frozenset() if regen_trace_per_run else frozenset(
+        s.name for s in policy_specs if s.name in SEEDLESS and s.config.observe_prob == 1.0
+    )
     ctx = {
         "trace": shared_trace,
         "trace_spec": trace_spec,
@@ -265,14 +290,19 @@ def run_experiment(
         "checkpoints": checkpoints,
         "paired": paired,
         "opt_misses": opt_cache,
+        "seedless": seedless,
+        "base_seed": base_seed,
     }
     seeds = list(range(base_seed, base_seed + runs))
+    # the seeds with runs to do; the first carries the seedless runs, the
+    # longest task, and pool.map submits it first
+    busy = seeds[:1] if len(seedless) == len(policy_specs) else seeds
 
-    workers = min(parallelism, runs)
+    workers = min(parallelism, len(busy))
     if workers <= 1:
         _init_worker(ctx)
         try:
-            per_seed = [_run_seed(s) for s in seeds]
+            per_seed = [_run_seed(s) for s in busy]
         finally:
             _CTX.clear()
     else:
@@ -281,10 +311,13 @@ def run_experiment(
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(ctx,)
         ) as pool:
-            per_seed = list(pool.map(_run_seed, seeds))
+            per_seed = list(pool.map(_run_seed, busy))
 
     by_policy: dict[str, list[RunResult]] = {s.name: [] for s in policy_specs}
-    for results in per_seed:  # seed order, independent of completion order
-        for spec, res in zip(policy_specs, results):
-            by_policy[spec.name].append(res)
+    # seed order, independent of completion order; the first seed ran every
+    # policy, and a policy skipped later is a copy of its first run
+    for seed, results in zip_longest(seeds, per_seed, fillvalue=()):
+        ran = {res.policy: res for res in results}
+        for name, runs_of in by_policy.items():
+            runs_of.append(ran[name] if name in ran else replace(runs_of[0], seed=seed))
     return {name: aggregate(rs) for name, rs in by_policy.items()}

@@ -81,6 +81,8 @@ NFPL_VARIANTS = {
     "fpl": ("static", True),
 }
 POLICY_NAMES = (*NFPL_VARIANTS, "lfu", "lru")
+# Policies that read no randomness: they draw no noise and get no stream.
+SEEDLESS = ("lfu", "lru")
 
 
 class PolicyStep(NamedTuple):
@@ -698,7 +700,7 @@ def make_policy(
     ``gamma0`` is :class:`NfplPolicy`'s test hook for the initial noise;
     LFU and LRU draw no noise, so they reject it.
     """
-    if name in ("lfu", "lru") and gamma0 is not None:
+    if name in SEEDLESS and gamma0 is not None:
         raise TypeError(f"{name} draws no noise and takes no gamma0")
     if name == "lfu":
         return LfuPolicy(config.cache_capacity, catalog)

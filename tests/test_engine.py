@@ -6,6 +6,7 @@ import pytest
 
 from nfplcache import engine, oracle
 from nfplcache.core import (
+    STREAM_BPO,
     STREAM_POLICY,
     Catalog,
     PolicyConfig,
@@ -290,7 +291,7 @@ def test_pool_gets_no_more_workers_than_seeds(monkeypatch):
     # the wrapper records the pool size asked for but starts at most two
     # workers, so the test forks no more even where the cap is missing
     spec, trace, cfg = small_setup(t=500)
-    specs = [PolicySpec("lru", cfg)]
+    specs = [PolicySpec("s-nfpl", cfg)]
     asked = []
     pool = engine.ProcessPoolExecutor
 
@@ -306,6 +307,78 @@ def test_pool_gets_no_more_workers_than_seeds(monkeypatch):
         assert two == run_experiment(spec, specs, runs=2, base_seed=0, trace=trace)
         assert one == run_experiment(spec, specs, runs=1, base_seed=0, trace=trace)
     assert asked == [2]
+
+
+def test_only_seedless_policies_fork_no_pool(monkeypatch):
+    # lfu and lru at p = 1 on a shared trace need one simulation each, so
+    # no seed is left for a worker
+    spec, trace, cfg = small_setup(t=500)
+    specs = [PolicySpec("lfu", cfg), PolicySpec("lru", cfg)]
+    asked = []
+    pool = engine.ProcessPoolExecutor
+
+    def capped_pool(max_workers, **kwargs):
+        asked.append(max_workers)
+        return pool(max_workers=min(max_workers, 2), **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", capped_pool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = run_experiment(spec, specs, runs=4, base_seed=0, trace=trace, parallelism=4)
+        assert out == run_experiment(spec, specs, runs=4, base_seed=0, trace=trace)
+    assert asked == []
+    assert [r.seed for r in out["lru"].runs] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("paired", [True, False])
+def test_seedless_copies_equal_their_own_runs(parallelism, paired):
+    spec, trace, cfg = small_setup(t=1000)
+    specs = [PolicySpec(name, cfg) for name in ("lfu", "lru", "s-nfpl")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = run_experiment(spec, specs, runs=3, base_seed=4, trace=trace,
+                             parallelism=parallelism, paired=paired)
+    for s in specs:
+        runs = out[s.name].runs
+        assert [r.seed for r in runs] == [4, 5, 6]
+        for r in runs:
+            assert r == run_one(trace, s, r.seed)
+
+
+@pytest.mark.parametrize("p, regen, calls", [(1.0, False, 3 * 1 + 2), (0.5, False, 9),
+                                             (1.0, True, 9)])
+def test_seedless_policies_run_once_per_experiment(monkeypatch, p, regen, calls):
+    spec, trace, cfg = small_setup(t=600, observe_prob=p)
+    specs = [PolicySpec(name, cfg) for name in ("lfu", "s-nfpl", "lru")]
+    ran = []
+
+    def counted(trace, spec, seed, **kwargs):
+        ran.append((spec.name, seed))
+        return run_one(trace, spec, seed, **kwargs)
+
+    monkeypatch.setattr(engine, "run_one", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = run_experiment(spec, specs, runs=3, base_seed=0, regen_trace_per_run=regen,
+                             trace=None if regen else trace)
+    assert len(ran) == calls
+    assert [seed for name, seed in ran if name == "s-nfpl"] == [0, 1, 2]
+    assert all(len(agg.runs) == 3 for agg in out.values())
+
+
+def test_skipped_seedless_runs_keep_the_unpaired_mask_substreams():
+    # s-nfpl is second in the list, so its mask comes from substream 1 on
+    # every seed, also where lfu before it is not simulated
+    spec, trace, cfg = small_setup(t=1000)
+    half = PolicyConfig(cache_capacity=cfg.cache_capacity, eta=cfg.eta, observe_prob=0.5)
+    specs = [PolicySpec("lfu", cfg), PolicySpec("s-nfpl", half)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = run_experiment(spec, specs, runs=3, base_seed=0, trace=trace, paired=False)
+    for r in out["s-nfpl"].runs:
+        mask = bpo_mask(len(trace), 0.5, spawn_stream(r.seed, STREAM_BPO).substream(1))
+        assert r == run_one(trace, specs[1], r.seed, mask=mask)
 
 
 def test_paired_mode_requires_single_observe_prob():
