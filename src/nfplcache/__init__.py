@@ -19,6 +19,7 @@ from .oracle import (
     opt_static,
     regret_bound_caching,
     regret_bound_general,
+    regret_bound_of,
     top_c_reference,
 )
 from .policies import LfuPolicy, LruPolicy, NfplPolicy, PolicyStep, make_policy
@@ -67,6 +68,7 @@ __all__ = [
     "opt_static",
     "regret_bound_caching",
     "regret_bound_general",
+    "regret_bound_of",
     "run_experiment",
     "run_one",
     "save_trace",

@@ -23,7 +23,7 @@ from .metrics import (
     write_summary_json,
     write_summary_table,
 )
-from .oracle import regret_bound_caching
+from .oracle import regret_bound_of
 from .policies import NFPL_VARIANTS, POLICY_NAMES
 from .traces import load_trace, save_trace
 
@@ -250,8 +250,7 @@ def write_run_outputs(out_dir, results, specs, *, trace_kind: str, n_files: int,
         write_series_csv(out / f"{name}_series.csv", agg)
         bound = None
         if name in NFPL_FAMILY:
-            bound = regret_bound_caching(cfg.batch_size, cfg.cache_capacity, horizon,
-                                         cfg.observe_prob, cfg.sample_prob)
+            bound = regret_bound_of(cfg, horizon)
         rows.append(_summary_row(name, agg, bound))
         payload[name] = _policy_summary(agg, bound)
     cfg = specs[0].config
@@ -263,6 +262,7 @@ def write_run_outputs(out_dir, results, specs, *, trace_kind: str, n_files: int,
         "batch_size": cfg.batch_size,
         "observe_prob": cfg.observe_prob,
         "sample_prob": cfg.sample_prob,
+        "fixed_per_batch": cfg.fixed_per_batch,
         "eta": cfg.eta,
         "base_seed": base_seed,
         "opt_miss_ratio": payload[specs[0].name]["opt_misses"] / horizon,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CacheState, Trace
+from .core import CacheState, PolicyConfig, Trace
 from .topk import top_c_indices
 
 
@@ -54,6 +54,20 @@ def regret_bound_caching(
     root_t = math.sqrt(horizon)
     lead = 2.0 * math.sqrt(2.0 * batch_size * cache_capacity) / (p * q)
     return lead * (root_t + batch_size / (2.0 * root_t))
+
+
+def regret_bound_of(config: PolicyConfig, horizon: int) -> float:
+    """:func:`regret_bound_caching` at a policy config's B, C, p and q.
+
+    Under fixed sampling (``fixed_per_batch = b``) q is taken as b/B, the
+    probability that a given request is sampled. This is an assumption:
+    the bound is proved for Bernoulli(q) sampling, and the paper states no
+    bound for exactly b samples per batch.
+    """
+    b = config.fixed_per_batch
+    q = config.sample_prob if b is None else b / config.batch_size
+    return regret_bound_caching(config.batch_size, config.cache_capacity, horizon,
+                                config.observe_prob, q)
 
 
 @dataclass(frozen=True)

@@ -32,25 +32,30 @@ score in place through :class:`~nfplcache.topk.TopCTracker`'s increase-key
 protocol; the tracker is called only to sift a member at an inner heap node
 or to swap in a non-member that beats the weakest member. An LFU hit only
 raises a count: its heap keys may lag, and a miss brings the root up to date.
-At B = 1 static and lazy noise run a loop of their own with no batch
-bookkeeping: every counted request is its own refresh, so a swap goes into
-the cache at once, and lazy noise re-grids a counted file inline, only when
-its count may have crossed its grid line. Dynamic noise changes its cache
-only at the end of a batch that counted a request, so it scores and counts
-the requests in between without a per-request Python loop: a stretch of
-requests is scored as the number of true entries of the cache mask at
-their ids, and its counted ids wait as a slice of the block's counted ids
-for the refresh.
+At B = 1 every counted request is its own refresh, so a swap goes into the
+cache at once. Static noise runs a per-request loop of its own there, with
+no batch bookkeeping. Lazy noise at B = 1 is driven by grid crossings
+instead: a block's counts are added with one ``bincount``, each file keeps
+the count at which its score next rises, and Python runs only for the
+files whose count reaches it; a stable radix sort of their ids locates
+their crossings, which raise the scores in request order, and the requests
+between two swaps are scored on a bool cache mask. Dynamic noise changes
+its cache only at the end of a batch that counted a request, so it scores
+and counts the requests in between without a per-request Python loop: a
+stretch of requests is scored as the number of true entries of the cache
+mask at their ids, and its counted ids wait as a slice of the block's
+counted ids for the refresh.
 
 Each policy's one simulation loop is ``run_block(t0, requests, observed)``,
 which feeds a block of requests and returns its misses; where the blocks
 end, and so where miss ratios are read, is up to the caller. A block is a
 pair of numpy arrays, the file ids (int) and the observation bits (bool),
 which may be views of the caller's arrays; they are neither written nor
-kept once the block returns. The per-request loops (static and lazy noise,
-LFU, LRU) turn them into lists when they start; dynamic noise reads them
-as arrays. ``step`` is a one-request block that returns a
-:class:`PolicyStep`. Whatever the policy, ``cache`` holds Python ints.
+kept once the block returns. The per-request loops (static noise, lazy
+noise at B > 1, LFU, LRU) turn them into lists when they start; dynamic
+noise, and lazy noise at B = 1, read them as arrays. ``step`` is a
+one-request block that returns a :class:`PolicyStep`. Whatever the policy,
+``cache`` holds Python ints.
 
 File ids are checked once, where they enter the program: a
 :class:`~nfplcache.core.Trace` holds only ids in ``[0, N)``, and ``step``
@@ -237,15 +242,26 @@ class NfplPolicy(_BlockPolicy):
             self._noise_origin = None
             self._noise_drawn = 0
         else:
-            # Counts and noise are plain lists for the kernel; the
-            # ``counts`` and ``gamma`` properties give numpy copies. Lazy
-            # mode reads the noise as its grid.
-            self._counts = [0] * n
+            # The noise is a plain list for the kernels; the ``gamma``
+            # property gives a numpy copy. Lazy mode reads it as its grid.
             self._gamma = gamma0.tolist()
-            self._dirty: set[int] = set()  # lazy: files the next refresh checks
-            self._pending: list[tuple[int, int]] = []  # (evicted, admitted) not yet applied
             self.tracker = TopCTracker(self._gamma, config.cache_capacity)
             self._cache = self.tracker.members()
+            if self._mode == "lazy" and self._batch == 1:
+                # _run_lazy's state: counts as an int64 array, the count at
+                # which each file's score next rises (the first count above
+                # gamma0), and the cache also as a bool mask of N entries
+                self._counts = np.zeros(n, dtype=np.int64)
+                self._next = gamma0.astype(np.int64) + 1  # gamma0 >= 0: truncation is floor
+                self._id_dtype = np.min_scalar_type(n - 1)
+                self._in_cache = np.zeros(n, dtype=bool)
+                self._in_cache[self.tracker.heap] = True
+            else:
+                # the per-request loops' counts, a plain list; the
+                # ``counts`` property gives a numpy copy
+                self._counts = [0] * n
+                self._dirty: set[int] = set()  # lazy: files the next refresh checks
+                self._pending: list[tuple[int, int]] = []  # (evicted, admitted) not yet applied
 
     @property
     def cache(self) -> set[int]:
@@ -403,10 +419,12 @@ class NfplPolicy(_BlockPolicy):
         counted = self._counted(t0, observed)
         if self._mode == "dynamic":
             misses = self._run_batches(t0, requests, counted)
-        elif self._batch == 1:
-            misses = self._run_unbatched(requests, counted)
-        else:
+        elif self._batch > 1:
             misses = self._run_requests(t0, requests, counted)
+        elif self._mode == "lazy":
+            misses = self._run_lazy(requests, counted)
+        else:
+            misses = self._run_unbatched(requests, counted)
         self._t = end
         return misses
 
@@ -447,14 +465,13 @@ class NfplPolicy(_BlockPolicy):
         return n - hits
 
     def _run_unbatched(self, requests: np.ndarray, counted: np.ndarray) -> int:
-        """Static and lazy noise at B = 1. A batch boundary follows every
-        request, so the next request is scored only after it: a counted
-        request's swap goes into the cache at once, and every counted
-        request is its own refresh."""
+        """Static noise at B = 1. A batch boundary follows every request, so
+        the next request is scored only after it: a counted request's swap
+        goes into the cache at once, and every counted request is its own
+        refresh that raises its file's score by one."""
         requests, counted = requests.tolist(), counted.tolist()
         cache = self._cache
         counts = self._counts
-        static = self._mode == "static"
         tracker = self.tracker
         bump = tracker.bump
         scores = tracker.scores
@@ -462,57 +479,116 @@ class NfplPolicy(_BlockPolicy):
         pos = tracker.pos
         sift_down = tracker.sift_down
         inner = len(heap) // 2  # heap[i] is a leaf from here on
-        grid = self._gamma  # lazy: gamma0, never rewritten
-        eta = self.eta
-        ceil = math.ceil
-        misses = changes = ops = 0
+        misses = ops = 0
 
         for f, c in zip(requests, counted):
             if f not in cache:
                 misses += 1
             if c:
-                k = counts[f] + 1
-                counts[f] = k
-                if static:
-                    # the tracker's increase-key protocol: a call only
-                    # when the heap can move
-                    s = scores[f] + 1.0
-                    i = pos[f]
-                    if i >= 0:
+                counts[f] += 1
+                # the tracker's increase-key protocol: a call only when the
+                # heap can move
+                s = scores[f] + 1.0
+                i = pos[f]
+                if i >= 0:
+                    scores[f] = s
+                    ops += 1
+                    if i < inner:
+                        sift_down(i)
+                else:
+                    root = heap[0]
+                    rs = scores[root]
+                    if s < rs or (s == rs and f > root):
                         scores[f] = s
-                        ops += 1
-                        if i < inner:
-                            sift_down(i)
                     else:
-                        root = heap[0]
-                        rs = scores[root]
-                        if s < rs or (s == rs and f > root):
-                            scores[f] = s
-                        else:
-                            cache.remove(bump(f, s)[0])
-                            cache.add(f)
-                # A lazy file moves only if its count may have crossed its
-                # grid line gamma0 + eta * j, its score: a count
-                # k <= score - 0.5 keeps ceil((k - gamma0) / eta) <= j, as
-                # rounding moves that quotient by far less than 0.5 / eta
-                # for scores below 2**50. The score rises only when the
-                # count crossed a line.
-                elif k + 0.5 > scores[f]:
-                    g0 = grid[f]
-                    s = g0 + eta * ceil((k - g0) / eta)
-                    if s > scores[f]:
-                        changes += 1
-                        evicted = bump(f, s)[0]
-                        if evicted is not None:
-                            cache.remove(evicted)
-                            cache.add(f)
+                        cache.remove(bump(f, s)[0])
+                        cache.add(f)
 
         refreshes = counted.count(True)
         self.sampled_steps += refreshes
         self.cache_refreshes += refreshes
-        self.score_changes += refreshes if static else changes
+        self.score_changes += refreshes
         tracker.op_counter += ops
         return misses
+
+    def _run_lazy(self, requests: np.ndarray, counted: np.ndarray) -> int:
+        """Lazy noise at B = 1, driven by grid crossings. Every counted
+        request is its own refresh, but a file's score rises only at the
+        count ``_next`` holds for it, so the block is counted with one
+        ``bincount``, and only the files whose count reached that value
+        ("hot" files) have their counted requests located: one stable sort
+        of their ids groups each file's requests in request order, and the
+        j-th of them brings its count to its count before the block plus
+        j + 1. The crossings then raise the scores through
+        :meth:`~nfplcache.topk.TopCTracker.bump` in request order. The cache
+        changes only where a bump swaps a file in, so the requests between
+        two swaps are scored as the number of true entries of the cache
+        mask at their ids, counted with ``bytes.count``."""
+        n = len(requests)
+        ids = requests[counted]
+        counts = self._counts
+        added = np.bincount(ids, minlength=self.n_files)
+        counts += added
+        reach = counts >= self._next
+        hot = reach.nonzero()[0]
+        self.sampled_steps += len(ids)
+        self.cache_refreshes += len(ids)
+        in_cache = self._in_cache
+        if not len(hot):
+            return n - in_cache[requests].tobytes().count(1)
+
+        # the hot files' counted requests, as block positions grouped by
+        # file in ascending id order (that of ``hot``); ids narrowed to the
+        # least dtype that holds them sort by radix sort
+        at = counted.nonzero()[0][reach[ids]]
+        at = at[requests[at].astype(self._id_dtype).argsort(kind="stable")]
+        grid = self._gamma  # gamma0, never rewritten
+        eta = self.eta
+        ceil = math.ceil
+        floor = math.floor
+        crossings = []  # (block position, file, new score)
+        nexts = []
+        lo = 0
+        for f, size, k1, k in zip(
+            hot.tolist(), added[hot].tolist(), counts[hot].tolist(), self._next[hot].tolist()
+        ):
+            g0 = grid[f]
+            # f's count reaches k1 - size + i at its i-th request of the
+            # block, at[lo + i - 1]; so count k is reached at at[shift + k].
+            # Only the crossings' positions become Python ints.
+            shift = lo + size - k1 - 1
+            while k <= k1:
+                s = g0 + eta * ceil((k - g0) / eta)
+                crossings.append((at.item(shift + k), f, s))
+                # the least count past k at which the score rises from s:
+                # the first whose grid line lies above s, screened by
+                # k + 0.5 > s (which such a count meets for any score
+                # below 2**50). Both tests are monotone in the count, so a
+                # search from below finds it, and no count below floor(s)
+                # passes the screen.
+                k = max(k + 1, floor(s))
+                while not (k + 0.5 > s and g0 + eta * ceil((k - g0) / eta) > s):
+                    k += 1
+            nexts.append(k)
+            lo += size
+        self._next[hot] = nexts
+        self.score_changes += len(crossings)
+        crossings.sort()
+
+        bump = self.tracker.bump
+        cache = self._cache
+        misses = lo = 0
+        for p, f, s in crossings:
+            evicted = bump(f, s)[0]
+            if evicted is not None:
+                hi = p + 1  # request p was scored before its own swap
+                misses += hi - lo - in_cache[requests[lo:hi]].tobytes().count(1)
+                in_cache[evicted] = False
+                in_cache[f] = True
+                cache.remove(evicted)
+                cache.add(f)
+                lo = hi
+        return misses + n - lo - in_cache[requests[lo:]].tobytes().count(1)
 
     def _run_requests(self, t0: int, requests: np.ndarray, counted: np.ndarray) -> int:
         """Static and lazy noise at B > 1: one pass over the requests, with

@@ -108,6 +108,19 @@ def test_fixed_sampling_matches_the_library(tmp_path):
     assert fixed != (tmp_path / "bern" / "s-nfpl_series.csv").read_bytes()
 
 
+def test_regret_bound_under_fixed_sampling_holds(tmp_path):
+    # one of every ten requests is counted; a bound taken at q = 1 (1265.5)
+    # lies below this cell's mean regret (1427.6)
+    out = tmp_path / "fixed"
+    assert run_cli(["run", "--gen-kind", "zipf-rr", "--n", "100", "--t", "10000",
+                    "--trace-seed", "777", "--policies", "s-nfpl", "--c", "2", "--b", "10",
+                    "--fixed-b", "1", "--runs", "100", "--parallel", "2",
+                    "--out", str(out)]) == 0
+    payload = json.loads((out / "summary.json").read_text())
+    assert payload["s-nfpl"]["mean_regret"] <= payload["s-nfpl"]["regret_bound"]
+    assert payload["experiment"]["fixed_per_batch"] == 1
+
+
 def test_capacity_at_catalog_size_is_runtime_error(tmp_path, capsys):
     code = run_cli(["run", "--gen-kind", "zipf", "--n", "20", "--t", "100",
                     "--policies", "lfu", "--c", "20", "--out", str(tmp_path)])

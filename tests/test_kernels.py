@@ -214,8 +214,9 @@ def make_reference(name, config, catalog, horizon, rng, **hooks):
 
 def state(policy, with_gamma=True) -> tuple:
     """Counters, cache and counts, plus an NFPL policy's tracker scores, heap
-    layout and noise. Lazy noise is compared only at batch boundaries: in
-    between, the reference still holds the previous boundary's offsets."""
+    layout, positions and noise. Lazy noise is compared only at batch
+    boundaries: in between, the reference still holds the previous
+    boundary's offsets."""
     counts = getattr(policy, "counts", [])  # LRU keeps none
     tracker = getattr(policy, "tracker", None)  # NFPL only; d-nfpl has none
     gamma = getattr(policy, "gamma", None)
@@ -226,7 +227,7 @@ def state(policy, with_gamma=True) -> tuple:
         policy.sampled_steps,
         policy.score_changes,
         list(counts) if isinstance(counts, list) else counts.tolist(),
-        None if tracker is None else (list(tracker.scores), list(tracker.heap)),
+        None if tracker is None else (list(tracker.scores), list(tracker.heap), list(tracker.pos)),
         None if gamma is None or not with_gamma else gamma.tolist(),
     )
 
@@ -288,6 +289,10 @@ def check_blocks_against_reference(name, scenario, seed, **hooks):
         assert total == ref_misses[hi - 1]
         assert state(pol, with_gamma(hi)) == ref_states[hi]
         assert len(pol.cache) == config.cache_capacity
+        if name == "l-nfpl" and config.batch_size == 1:
+            # the block kernel keeps the cache as a set and a bool mask
+            members = set(pol.tracker.heap)
+            assert set(pol.cache) == members == set(np.flatnonzero(pol._in_cache).tolist())
     return pol
 
 
@@ -314,6 +319,82 @@ def test_noise_on_a_half_integer_lattice(name, scenario, seed, data):
         config = replace(config, batch_size=1, fixed_per_batch=config.fixed_per_batch and 1)
     scenario = (n, config, requests, observed, bounds)
     check_blocks_against_reference(name, scenario, seed, gamma0=gamma0)
+
+
+@st.composite
+def unbatched_lazy_scenarios(draw):
+    """l-nfpl at B = 1 cut into one-request blocks and blocks of hundreds,
+    some with no observed or no counted request, and eta down to 0.05, so
+    that one file crosses several grid lines in a block."""
+    n = draw(st.integers(2, 30))
+    config = PolicyConfig(
+        cache_capacity=draw(st.integers(1, n - 1)),
+        batch_size=1,
+        sample_prob=draw(st.sampled_from((0.3, 1.0))),
+        eta=draw(st.sampled_from((0.05, 0.3, 1.0, 2.5, 7.5))),
+    )
+    sizes = draw(st.lists(st.sampled_from((1, 1, 2, 40, 300)), min_size=1, max_size=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    horizon = sum(sizes)
+    requests = (rng.zipf(1.3, horizon) % n).tolist()
+    observed = []
+    for size in sizes:
+        share = draw(st.sampled_from((0.0, 0.5, 1.0)))  # 0: a block with nothing counted
+        observed += (rng.random(size) < share).tolist()
+    return n, config, requests, observed, np.cumsum([0, *sizes]).tolist()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenario=unbatched_lazy_scenarios(), seed=st.integers(0, 10**6))
+def test_lazy_block_kernel_matches_reference(scenario, seed):
+    check_blocks_against_reference("l-nfpl", scenario, seed)
+
+
+@pytest.mark.parametrize("eta", (0.5, 4.0))
+def test_lazy_block_kernel_over_a_catalog_wider_than_16_bits(eta):
+    # ids above 65 535 sort as uint32; the requests mix ids on both sides
+    # of that line, and blocks of one request sit between long ones
+    n = 70_000
+    config = PolicyConfig(cache_capacity=30, batch_size=1, sample_prob=0.5, eta=eta)
+    rng = np.random.default_rng(7)
+    horizon = 6000
+    ranks = rng.zipf(1.2, horizon) % 200
+    requests = np.where(ranks % 2 == 0, n - 1 - ranks, ranks * 300).tolist()
+    observed = (rng.random(horizon) < 0.8).tolist()
+    bounds = [0, 1, 2, 900, 901, 3000, 3001, 3002, horizon]
+    pol = check_blocks_against_reference("l-nfpl", (n, config, requests, observed, bounds), 5)
+    assert pol._id_dtype == np.uint32
+    assert pol.score_changes > 100
+
+
+def _first_rise(policy, f, steps):
+    """The count of file ``f`` at which its score first rises when ``f`` is
+    requested ``steps`` times, each as a one-request block."""
+    for t in range(1, steps + 1):
+        policy.step(t, f, True)
+        if policy.score_changes:
+            return t
+    return None
+
+
+@pytest.mark.parametrize("eta", (0.25, 1.0, 3.0, 7.5))
+def test_first_score_rise_is_at_the_first_count_above_gamma0(eta):
+    # gamma0 at 0, on whole numbers, one ulp below eta and on the
+    # half-integer lattice: where a count meets its grid line exactly, the
+    # score must not rise until the count passes it
+    values = {0.0, float(np.nextafter(eta, 0.0))}
+    values |= {float(k) for k in range(int(eta) + 1)} | {k + 0.5 for k in range(int(eta) + 1)}
+    config = PolicyConfig(cache_capacity=1, batch_size=1, eta=eta)
+    for g0 in sorted(v for v in values if v < eta):
+        first = math.floor(g0) + 1
+        gamma0 = [g0, 0.0]
+        pol = make_policy("l-nfpl", config, Catalog(2), first + 1, spawn_stream(0, 1),
+                          gamma0=gamma0)
+        assert pol._next[0] == first
+        assert _first_rise(pol, 0, first + 1) == first, g0
+        ref = make_reference("l-nfpl", config, Catalog(2), first + 1, spawn_stream(0, 1),
+                             gamma0=gamma0)
+        assert _first_rise(ref, 0, first + 1) == first, g0
 
 
 @pytest.mark.parametrize("seed", range(3))

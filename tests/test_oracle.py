@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nfplcache.core import Catalog, Trace
+from nfplcache.core import Catalog, PolicyConfig, Trace
 from nfplcache.oracle import (
     BoundParams,
     minimized_regret_bound,
@@ -11,6 +11,7 @@ from nfplcache.oracle import (
     opt_static,
     regret_bound_caching,
     regret_bound_general,
+    regret_bound_of,
     top_c_reference,
 )
 
@@ -98,6 +99,16 @@ def test_caching_bound_rejects_bad_domain():
         regret_bound_caching(1, 2, 8, 0.0, 1.0)
     with pytest.raises(ValueError):
         regret_bound_caching(1, 2, 8, 1.0, 1.5)
+
+
+@pytest.mark.parametrize("sampling, q", [({"sample_prob": 0.4}, 0.4), ({}, 1.0),
+                                         ({"fixed_per_batch": 3}, 0.3),
+                                         ({"fixed_per_batch": 10}, 1.0)])
+def test_bound_of_a_config_reads_q_as_the_sampled_share(sampling, q):
+    # fixed sampling counts b of every B requests: q is b/B, not the
+    # sample_prob of 1 that fixed sampling requires
+    config = PolicyConfig(cache_capacity=4, batch_size=10, observe_prob=0.5, eta=1.0, **sampling)
+    assert regret_bound_of(config, 5000) == regret_bound_caching(10, 4, 5000, 0.5, q)
 
 
 def test_general_bound_reproduces_caching_leading_term():
