@@ -70,7 +70,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--c", type=int, required=True, help="cache capacity")
     parser.add_argument("--b", type=int, default=1, help="batch size")
     parser.add_argument("--p", type=float, default=1.0, help="observation probability")
-    parser.add_argument("--q", type=float, default=1.0, help="request sampling probability")
     parser.add_argument("--eta", default="auto",
                         help="noise magnitude: auto (sqrt(BT/2C)), auto-exp (p*sqrt(BT/2C)), or a number")
     parser.add_argument("--runs", type=int, default=1, help="number of seeded runs")
@@ -102,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run policies over a trace and summarize")
     _add_trace_source(run)
     _add_run_options(run)
+    run.add_argument("--q", type=float, default=1.0, help="request sampling probability")
     run.add_argument("--fixed-b", type=int, help="sample exactly this many requests per batch")
     run.add_argument("--format", choices=("csv", "tsv"), default="csv",
                      help="summary table format")
@@ -117,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated sampling rates in (0, 1]")
     sweep.add_argument("--mode", choices=("var", "fix", "both"), default="var",
                        help="per-request Bernoulli sampling, per-batch fixed, or both")
+    sweep.set_defaults(q=1.0, fixed_b=None)  # its rates set the sampling
     return parser
 
 
@@ -201,7 +202,7 @@ def _setup(args, parser) -> tuple:
         config = PolicyConfig(
             cache_capacity=args.c, batch_size=args.b, observe_prob=args.p,
             sample_prob=args.q, eta=_resolve_eta(args.eta, args.b, args.c, horizon, args.p),
-            fixed_per_batch=getattr(args, "fixed_b", None),
+            fixed_per_batch=args.fixed_b,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -349,6 +350,10 @@ def cmd_sweep(args, parser) -> int:
         parser.error(f"sweep only applies to sampling policies, got {bad}")
     parallelism, trace_spec, trace, _, horizon, base = _setup(args, parser)
     modes = ("var", "fix") if args.mode == "both" else (args.mode,)
+    fixed = {rate: min(args.b, max(1, round(rate * args.b))) for rate in args.rates}  # b of B
+    same = [f"{r} -> b = {b}" for r, b in fixed.items() if list(fixed.values()).count(b) > 1]
+    if "fix" in modes and same:  # two rates with one b would run one simulation twice
+        parser.error(f"--mode {args.mode} repeats a run: rates {', '.join(same)} of B = {args.b}")
 
     curves: dict[str, list[tuple[float, float, float]]] = {}
     for rate in args.rates:
@@ -356,8 +361,7 @@ def cmd_sweep(args, parser) -> int:
             if mode == "var":
                 config = replace(base, sample_prob=rate)
             else:
-                b = min(args.b, max(1, round(rate * args.b)))
-                config = replace(base, sample_prob=1.0, fixed_per_batch=b)
+                config = replace(base, fixed_per_batch=fixed[rate])
             specs = [PolicySpec(name, config) for name in args.policies]
             results = run_experiment(
                 trace_spec, specs, runs=args.runs, base_seed=args.seed,

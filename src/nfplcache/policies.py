@@ -32,28 +32,29 @@ score in place through :class:`~nfplcache.topk.TopCTracker`'s increase-key
 protocol; the tracker is called only to sift a member at an inner heap node
 or to swap in a non-member that beats the weakest member. An LFU hit only
 raises a count: its heap keys may lag, and a miss brings the root up to date.
-At B = 1 every counted request is its own refresh, so a swap goes into the
-cache at once. Static noise runs a per-request loop of its own there, with
-no batch bookkeeping. Lazy noise at B = 1 is driven by grid crossings
-instead: a block's counts are added with one ``bincount``, each file keeps
-the count at which its score next rises, and Python runs only for the
-files whose count reaches it; a stable radix sort of their ids locates
-their crossings, which raise the scores in request order, and the requests
-between two swaps are scored on a bool cache mask. Dynamic noise changes
-its cache only at the end of a batch that counted a request, so it scores
-and counts the requests in between without a per-request Python loop: a
-stretch of requests is scored as the number of true entries of the cache
-mask at their ids, and its counted ids wait as a slice of the block's
-counted ids for the refresh.
+
+Static noise, and lazy noise at B = 1, add a block's counts with one
+``bincount`` and keep the cache also as a bool mask of N entries. The cache
+changes only at a swap, which is rare, so the requests between two swaps are
+scored as the number of true entries of the mask at their ids. Static noise
+loops in Python over the counted requests only, at every B, and a swap
+reaches the cache where its batch ends. Lazy noise at B = 1 is driven by
+grid crossings instead: each file keeps the count at which its score next
+rises, and Python runs only for the files whose count reaches it; a stable
+radix sort of their ids locates their crossings, which raise the scores in
+request order. Dynamic noise changes its cache only at the end of a batch
+that counted a request, so it scores the requests in between on its cache
+mask in the same way, and their counted ids wait as a slice of the block's
+for the refresh.
 
 Each policy's one simulation loop is ``run_block(t0, requests, observed)``,
 which feeds a block of requests and returns its misses; where the blocks
 end, and so where miss ratios are read, is up to the caller. A block is a
 pair of numpy arrays, the file ids (int) and the observation bits (bool),
 which may be views of the caller's arrays; they are neither written nor
-kept once the block returns. The per-request loops (static noise, lazy
-noise at B > 1, LFU, LRU) turn them into lists when they start; dynamic
-noise, and lazy noise at B = 1, read them as arrays. ``step`` is a
+kept once the block returns. The per-request loops (lazy noise at B > 1,
+LFU, LRU) turn them into lists when they start; static and dynamic noise,
+and lazy noise at B = 1, read them as arrays. ``step`` is a
 one-request block that returns a :class:`PolicyStep`. Whatever the policy,
 ``cache`` holds Python ints.
 
@@ -134,9 +135,10 @@ class _BlockPolicy:
     # The work counters of a run. Every loop reads ``sampled_steps`` from the
     # block's bits once it ends: NFPL's counted bits, LFU's and LRU's
     # observation bits. NfplPolicy keeps the others: ``heap_ops`` is its
-    # tracker's; ``score_changes`` is the counted bits under static noise and
-    # the grid crossings under lazy noise. LFU's heapq calls are not counted,
-    # as reporting them would move recorded results.
+    # tracker's; ``cache_refreshes`` counts the batches that counted a
+    # request, each where it ends; ``score_changes`` is the counted bits under
+    # static noise and the grid crossings under lazy noise. LFU's heapq calls
+    # are not counted, as reporting them would move recorded results.
     heap_ops = cache_refreshes = score_changes = sampled_steps = 0
 
     def __init__(self, cache_capacity: int, catalog: Catalog):
@@ -211,10 +213,6 @@ class NfplPolicy(_BlockPolicy):
         self._batch_bits = None  # fixed mode: the sampled positions of the last batch drawn
         self._drawn_batch = -1
 
-        self._flag = False
-        self.cache_refreshes = 0
-        self.sampled_steps = 0
-        self.score_changes = 0
         self._t = 0
 
         if self._mode == "dynamic":
@@ -247,21 +245,28 @@ class NfplPolicy(_BlockPolicy):
             self._gamma = gamma0.tolist()
             self.tracker = TopCTracker(self._gamma, config.cache_capacity)
             self._cache = self.tracker.members()
-            if self._mode == "lazy" and self._batch == 1:
-                # _run_lazy's state: counts as an int64 array, the count at
-                # which each file's score next rises (the first count above
-                # gamma0), and the cache also as a bool mask of N entries
+            if self._mode == "lazy" and self._batch > 1:
+                # _run_requests's counts, a plain list (the ``counts``
+                # property gives a numpy copy), and the files it counted
+                # since the last refresh
+                self._counts = [0] * n
+                self._dirty: set[int] = set()
+            else:
+                # the block kernels' counts, and the cache also as a bool mask
                 self._counts = np.zeros(n, dtype=np.int64)
-                self._next = gamma0.astype(np.int64) + 1  # gamma0 >= 0: truncation is floor
-                self._id_dtype = np.min_scalar_type(n - 1)
                 self._in_cache = np.zeros(n, dtype=bool)
                 self._in_cache[self.tracker.heap] = True
-            else:
-                # the per-request loops' counts, a plain list; the
-                # ``counts`` property gives a numpy copy
-                self._counts = [0] * n
-                self._dirty: set[int] = set()  # lazy: files the next refresh checks
-                self._pending: list[tuple[int, int]] = []  # (evicted, admitted) not yet applied
+                if self._mode == "lazy":
+                    # the count at which each file's score next rises: the
+                    # first count above gamma0 (>= 0, so truncation is floor)
+                    self._next = gamma0.astype(np.int64) + 1
+                    self._id_dtype = np.min_scalar_type(n - 1)
+                else:
+                    # whether the batch open at the end of the last block
+                    # counted a request, and its swaps, each as (the time at
+                    # which it reaches the cache, evicted, admitted)
+                    self._flag = False
+                    self._waiting: list[tuple[int, int, int]] = []
 
     @property
     def cache(self) -> set[int]:
@@ -419,12 +424,12 @@ class NfplPolicy(_BlockPolicy):
         counted = self._counted(t0, observed)
         if self._mode == "dynamic":
             misses = self._run_batches(t0, requests, counted)
-        elif self._batch > 1:
-            misses = self._run_requests(t0, requests, counted)
-        elif self._mode == "lazy":
-            misses = self._run_lazy(requests, counted)
+        elif self._mode == "static":
+            misses = self._run_static(t0, requests, counted)
+        elif self._batch == 1:
+            misses = self._run_lazy(t0, requests, counted)
         else:
-            misses = self._run_unbatched(requests, counted)
+            misses = self._run_requests(t0, requests, counted)
         self._t = end
         return misses
 
@@ -464,54 +469,91 @@ class NfplPolicy(_BlockPolicy):
         self.cache_refreshes += refreshes
         return n - hits
 
-    def _run_unbatched(self, requests: np.ndarray, counted: np.ndarray) -> int:
-        """Static noise at B = 1. A batch boundary follows every request, so
-        the next request is scored only after it: a counted request's swap
-        goes into the cache at once, and every counted request is its own
-        refresh that raises its file's score by one."""
-        requests, counted = requests.tolist(), counted.tolist()
-        cache = self._cache
-        counts = self._counts
+    def _run_static(self, t0: int, requests: np.ndarray, counted: np.ndarray) -> int:
+        """Static noise, at every B. Python loops over the counted requests
+        only, each raising its file's score by one through the tracker's
+        increase-key protocol. A swap reaches the cache where its request's
+        batch ends (at B = 1, right after the request); one whose batch ends
+        past the block waits in ``_waiting``. A batch that counted a request
+        is one refresh, tallied where it ends."""
+        batch = self._batch
+        at = counted.nonzero()[0]
+        ids = requests[at]
+        self._counts += np.bincount(ids, minlength=self.n_files)
         tracker = self.tracker
-        bump = tracker.bump
-        scores = tracker.scores
-        heap = tracker.heap
-        pos = tracker.pos
-        sift_down = tracker.sift_down
+        bump, sift_down = tracker.bump, tracker.sift_down
+        scores, heap, pos = tracker.scores, tracker.heap, tracker.pos
         inner = len(heap) // 2  # heap[i] is a leaf from here on
-        misses = ops = 0
+        waiting = self._waiting
+        ops = 0
 
-        for f, c in zip(requests, counted):
-            if f not in cache:
-                misses += 1
-            if c:
-                counts[f] += 1
-                # the tracker's increase-key protocol: a call only when the
-                # heap can move
-                s = scores[f] + 1.0
-                i = pos[f]
-                if i >= 0:
+        for j, f in enumerate(ids.tolist()):
+            # the tracker's increase-key protocol: a call only when the heap
+            # can move
+            s = scores[f] + 1.0
+            i = pos[f]
+            if i >= 0:
+                scores[f] = s
+                ops += 1
+                if i < inner:
+                    sift_down(i)
+            else:
+                root = heap[0]
+                rs = scores[root]
+                if s < rs or (s == rs and f > root):
                     scores[f] = s
-                    ops += 1
-                    if i < inner:
-                        sift_down(i)
                 else:
-                    root = heap[0]
-                    rs = scores[root]
-                    if s < rs or (s == rs and f > root):
-                        scores[f] = s
-                    else:
-                        cache.remove(bump(f, s)[0])
-                        cache.add(f)
+                    # request t0 + p + 1's batch ends at the next multiple of B
+                    p = at.item(j)
+                    waiting.append((((t0 + p) // batch + 1) * batch, bump(f, s)[0], f))
 
-        refreshes = counted.count(True)
-        self.sampled_steps += refreshes
-        self.cache_refreshes += refreshes
-        self.score_changes += refreshes
         tracker.op_counter += ops
-        return misses
+        sampled = len(ids)
+        self.sampled_steps += sampled
+        self.score_changes += sampled
+        # the refreshes: the distinct batches that counted a request, with the
+        # batch open at t0 if an earlier block counted in it, less the one
+        # still open at the end, which carries its flag to the next block
+        last = t0 // batch if self._flag else -1
+        refreshes = last >= 0
+        if sampled:
+            head, tail = (t0 + at.item(0)) // batch, (t0 + at.item(-1)) // batch
+            refreshes += head != last
+            if tail > head:  # count each counted request that opens a batch
+                marks = (at + t0) // batch
+                refreshes += (marks[1:] != marks[:-1]).tobytes().count(1)
+            last = tail
+        self._flag = last == (t0 + len(requests)) // batch
+        self.cache_refreshes += refreshes - self._flag
+        if not waiting:  # the cache stays as it is
+            return len(requests) - self._in_cache[requests].tobytes().count(1)
+        return self._score_between_swaps(t0, requests, waiting)
 
-    def _run_lazy(self, requests: np.ndarray, counted: np.ndarray) -> int:
+    def _score_between_swaps(self, t0: int, requests: np.ndarray, swaps: list) -> int:
+        """The misses of requests t0+1 .. t0+len(requests), where each swap
+        ``(t, evicted, admitted)`` of the list, in order of t, reaches the
+        cache right after request t and leaves the list. The requests
+        between two swaps are scored with ``bytes.count`` on the cache mask
+        at their ids; then the swap moves the mask and the set."""
+        in_cache = self._in_cache
+        cache = self._cache
+        n = len(requests)
+        misses = lo = done = 0
+        for t, evicted, admitted in swaps:
+            hi = t - t0
+            if hi > n:
+                break
+            misses += hi - lo - in_cache[requests[lo:hi]].tobytes().count(1)
+            in_cache[evicted] = False
+            in_cache[admitted] = True
+            cache.remove(evicted)
+            cache.add(admitted)
+            lo = hi
+            done += 1
+        del swaps[:done]
+        return misses + n - lo - in_cache[requests[lo:]].tobytes().count(1)
+
+    def _run_lazy(self, t0: int, requests: np.ndarray, counted: np.ndarray) -> int:
         """Lazy noise at B = 1, driven by grid crossings. Every counted
         request is its own refresh, but a file's score rises only at the
         count ``_next`` holds for it, so the block is counted with one
@@ -520,11 +562,8 @@ class NfplPolicy(_BlockPolicy):
         of their ids groups each file's requests in request order, and the
         j-th of them brings its count to its count before the block plus
         j + 1. The crossings then raise the scores through
-        :meth:`~nfplcache.topk.TopCTracker.bump` in request order. The cache
-        changes only where a bump swaps a file in, so the requests between
-        two swaps are scored as the number of true entries of the cache
-        mask at their ids, counted with ``bytes.count``."""
-        n = len(requests)
+        :meth:`~nfplcache.topk.TopCTracker.bump` in request order, and a
+        swap reaches the cache right after its own request."""
         ids = requests[counted]
         counts = self._counts
         added = np.bincount(ids, minlength=self.n_files)
@@ -533,9 +572,8 @@ class NfplPolicy(_BlockPolicy):
         hot = reach.nonzero()[0]
         self.sampled_steps += len(ids)
         self.cache_refreshes += len(ids)
-        in_cache = self._in_cache
         if not len(hot):
-            return n - in_cache[requests].tobytes().count(1)
+            return len(requests) - self._in_cache[requests].tobytes().count(1)
 
         # the hot files' counted requests, as block positions grouped by
         # file in ascending id order (that of ``hot``); ids narrowed to the
@@ -576,44 +614,30 @@ class NfplPolicy(_BlockPolicy):
         crossings.sort()
 
         bump = self.tracker.bump
-        cache = self._cache
-        misses = lo = 0
+        swaps = []
         for p, f, s in crossings:
             evicted = bump(f, s)[0]
             if evicted is not None:
-                hi = p + 1  # request p was scored before its own swap
-                misses += hi - lo - in_cache[requests[lo:hi]].tobytes().count(1)
-                in_cache[evicted] = False
-                in_cache[f] = True
-                cache.remove(evicted)
-                cache.add(f)
-                lo = hi
-        return misses + n - lo - in_cache[requests[lo:]].tobytes().count(1)
+                swaps.append((t0 + p + 1, evicted, f))
+        return self._score_between_swaps(t0, requests, swaps)
 
     def _run_requests(self, t0: int, requests: np.ndarray, counted: np.ndarray) -> int:
-        """Static and lazy noise at B > 1: one pass over the requests, with
-        each batch's swaps applied to the cache at its boundary."""
+        """Lazy noise at B > 1: one pass over the requests. Each batch that
+        counted a request ends in a refresh that moves its counted files
+        back onto their grids, and the swaps go into the cache there."""
         requests, counted = requests.tolist(), counted.tolist()
         t = t0
         cache = self._cache
         counts = self._counts
-        static = self._mode == "static"
-        tracker = self.tracker
-        bump = tracker.bump
-        scores = tracker.scores
-        heap = tracker.heap
-        pos = tracker.pos
-        sift_down = tracker.sift_down
-        inner = len(heap) // 2  # heap[i] is a leaf from here on
-        pending = self._pending
+        bump = self.tracker.bump
+        scores = self.tracker.scores
         dirty = self._dirty
-        grid = self._gamma  # lazy: gamma0, never rewritten
+        grid = self._gamma  # gamma0, never rewritten
         eta = self.eta
         ceil = math.ceil
         batch = self._batch
         boundary = (t // batch + 1) * batch
-        flag = self._flag
-        misses = changes = refreshes = ops = 0
+        misses = changes = refreshes = 0
 
         for f, c in zip(requests, counted):
             t += 1
@@ -621,60 +645,32 @@ class NfplPolicy(_BlockPolicy):
                 misses += 1
             if c:
                 counts[f] += 1
-                flag = True
-                if static:
-                    # the tracker's increase-key protocol: a call only
-                    # when the heap can move
-                    s = scores[f] + 1.0
-                    i = pos[f]
-                    if i >= 0:
-                        scores[f] = s
-                        ops += 1
-                        if i < inner:
-                            sift_down(i)
-                    else:
-                        root = heap[0]
-                        rs = scores[root]
-                        if s < rs or (s == rs and f > root):
-                            scores[f] = s
-                        else:
-                            pending.append(bump(f, s))
-                else:
-                    # Every counted file joins, not only those that may
-                    # have crossed a grid line: the refresh bumps in the
-                    # set's iteration order, heap_ops depend on that order,
-                    # and a set of the crossing files alone can iterate in
-                    # another order than the set of all counted files.
-                    dirty.add(f)
+                # Every counted file joins, not only those that may have
+                # crossed a grid line: the refresh bumps in the set's
+                # iteration order, heap_ops depend on that order, and a set
+                # of the crossing files alone can iterate in another order
+                # than the set of all counted files.
+                dirty.add(f)
             if t == boundary:
                 boundary += batch
-                if flag:
-                    flag = False
+                if dirty:
                     refreshes += 1
-                    if dirty:
-                        # lazy: move each such file back onto its grid;
-                        # the score rises only when the count crossed a line
-                        for g in dirty:
-                            g0 = grid[g]
-                            new_score = g0 + eta * ceil((counts[g] - g0) / eta)
-                            if new_score > scores[g]:
-                                changes += 1
-                                swap = bump(g, new_score)
-                                if swap[0] is not None:
-                                    pending.append(swap)
-                        dirty.clear()
-                    if pending:
-                        for evicted, admitted in pending:
-                            cache.discard(evicted)
-                            cache.add(admitted)
-                        pending.clear()
+                    # the score rises only when the count crossed a line
+                    for g in dirty:
+                        g0 = grid[g]
+                        new_score = g0 + eta * ceil((counts[g] - g0) / eta)
+                        if new_score > scores[g]:
+                            changes += 1
+                            evicted = bump(g, new_score)[0]
+                            if evicted is not None:
+                                cache.remove(evicted)
+                                cache.add(g)
+                    dirty.clear()
 
-        self._flag = flag
         sampled = counted.count(True)
         self.sampled_steps += sampled
-        self.score_changes += sampled if static else changes
+        self.score_changes += changes
         self.cache_refreshes += refreshes
-        tracker.op_counter += ops
         return misses
 
 

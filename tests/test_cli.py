@@ -422,13 +422,30 @@ def test_sweep_round_robin_trend_and_fix_var_gap(tmp_path):
 
 
 @pytest.mark.parametrize("flag", [["--format", "tsv"], ["--checkpoints", "0"],
-                                  ["--emit-plot-script"]])
+                                  ["--emit-plot-script"], ["--q", "0.5"]])
 def test_sweep_rejects_run_only_flags(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         run_cli(["sweep", "--gen-kind", "zipf", "--n", "20", "--t", "100",
                  "--policies", "s-nfpl", "--c", "2", "--rates", "0.5",
                  "--out", str(tmp_path)] + flag)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--b", "1", "--rates", "0.1,0.5", "--mode", "fix"], "0.1 -> b = 1, 0.5 -> b = 1 of B = 1"),
+    (["--b", "4", "--rates", "0.1,0.2,1.0", "--mode", "both"],
+     "0.1 -> b = 1, 0.2 -> b = 1 of B = 4"),
+], ids=["fix-b1", "both-b4"])
+def test_sweep_rates_that_round_to_one_fixed_b_are_usage_errors(tmp_path, capsys, flags,
+                                                                message):
+    # fixed sampling takes b = round(rate * B) of each batch, so two such
+    # rates would run one simulation twice
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--gen-kind", "zipf", "--n", "20", "--t", "100",
+                 "--policies", "s-nfpl", "--c", "2", "--out", str(tmp_path)] + flags)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_empty_rate_grid_rejected(tmp_path):

@@ -289,10 +289,12 @@ def check_blocks_against_reference(name, scenario, seed, **hooks):
         assert total == ref_misses[hi - 1]
         assert state(pol, with_gamma(hi)) == ref_states[hi]
         assert len(pol.cache) == config.cache_capacity
-        if name == "l-nfpl" and config.batch_size == 1:
-            # the block kernel keeps the cache as a set and a bool mask
-            members = set(pol.tracker.heap)
-            assert set(pol.cache) == members == set(np.flatnonzero(pol._in_cache).tolist())
+        if name in ("s-nfpl", "fpl") or (name == "l-nfpl" and config.batch_size == 1):
+            # the block kernels keep the cache as a set and a bool mask; the
+            # tracker's members run ahead of both while a batch is open
+            assert set(pol.cache) == set(np.flatnonzero(pol._in_cache).tolist())
+            if hi % config.batch_size == 0:
+                assert set(pol.cache) == set(pol.tracker.heap)
     return pol
 
 
@@ -478,36 +480,56 @@ def test_sampling_bits_refill_across_chunks():
     assert state(pol) == state(ref)
 
 
-@pytest.mark.parametrize("name", ("s-nfpl", "fpl", "l-nfpl"))
-@pytest.mark.parametrize("p, q", [(0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0)])
-def test_unbatched_loop_over_a_long_run(name, p, q):
-    # B = 1 over a catalog deep enough for inner heap nodes and frequent
-    # swaps; random cuts include one-request blocks fed through step(), and
-    # each cut compares misses, counters, cache, counts, scores and heap
+PQ = [(0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0)]
+LONG_RUNS = [
+    *(pytest.param(name, p, q, 1, None, id=f"{p}-{q}-{name}")
+      for name in ("s-nfpl", "fpl", "l-nfpl") for p, q in PQ),
+    *(pytest.param(name, p, q, 7, None, id=f"B7-{p}-{q}-{name}")
+      for name in ("s-nfpl", "fpl") for p, q in PQ),
+    *(pytest.param(name, p, 1.0, 7, 3, id=f"B7-b3-{p}-{name}")
+      for name in ("s-nfpl", "fpl") for p in (0.5, 1.0)),
+]
+
+
+@pytest.mark.parametrize("name, p, q, batch, fixed", LONG_RUNS)
+def test_unbatched_loop_over_a_long_run(name, p, q, batch, fixed):
+    # A catalog deep enough for inner heap nodes and frequent swaps; random
+    # cuts include one-request blocks fed through step(), and each cut
+    # compares misses, counters, cache, counts, scores and heap. At B > 1 a
+    # block also ends wherever a swap waits for the end of its batch (at
+    # most ten times), so that the next block must apply it.
     n, c, horizon = 400, 40, 20_000
-    config = PolicyConfig(cache_capacity=c, batch_size=1, observe_prob=p, sample_prob=q,
-                          eta=default_eta(1, c, horizon))
+    sampling = {"sample_prob": q} if fixed is None else {"fixed_per_batch": fixed}
+    config = PolicyConfig(cache_capacity=c, batch_size=batch, observe_prob=p,
+                          eta=default_eta(batch, c, horizon), **sampling)
     catalog = Catalog(n)
     requests = gen_zipf_rr(catalog, horizon, 1.0, spawn_stream(3, 2)).requests.tolist()
     observed = spawn_stream(3, 0).bernoulli(p, horizon).tolist()
     rng = np.random.default_rng(int(p * 10 + q))
     cuts = {int(x) for x in rng.integers(1, horizon - 1, 40)}
     cuts |= {x + 1 for x in list(cuts)[:15]}  # a one-request block after each
-    bounds = [0, *sorted(cuts), horizon]
+    cuts.add(horizon)
     ref = make_reference(name, config, catalog, horizon, spawn_stream(3, 1))
     pol = make_policy(name, config, catalog, horizon, spawn_stream(3, 1))
 
-    want = got = swaps = 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        for t in range(lo + 1, hi + 1):
-            before = set(ref.cache)
-            want += not ref.step(t, requests[t - 1], observed[t - 1])
-            swaps += set(ref.cache) != before
+    want = got = swaps = waits = lo = 0
+    for hi in range(1, horizon + 1):
+        before = set(ref.cache)
+        want += not ref.step(hi, requests[hi - 1], observed[hi - 1])
+        swaps += set(ref.cache) != before
+        waiting = bool(hi % batch and ref._pending)
+        if hi not in cuts and not (waiting and waits < 10):
+            continue
+        waits += waiting
         if hi - lo == 1:
             got += not pol.step(hi, requests[lo], observed[lo]).hit
         else:
             got += pol.run_block(lo, np.asarray(requests[lo:hi]), np.asarray(observed[lo:hi]))
+        lo = hi
         assert got == want
         assert state(pol) == state(ref)
-    assert swaps > 100
+        if waiting:
+            assert set(pol.cache) != set(pol.tracker.heap)
+    assert swaps > (100 if batch == 1 else 50)
     assert pol.heap_ops > swaps
+    assert waits >= 10 if batch > 1 else waits == 0
