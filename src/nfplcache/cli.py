@@ -37,6 +37,9 @@ def _parse_policies(value: str) -> list[str]:
         raise argparse.ArgumentTypeError(
             f"unknown policy name(s) {bad}; valid names: {', '.join(POLICY_NAMES)}"
         )
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"policy names must be unique, repeated: {repeated}")
     return names
 
 
@@ -49,6 +52,9 @@ def _parse_rates(value: str) -> list[float]:
         raise argparse.ArgumentTypeError("rate grid must not be empty")
     if any(not 0.0 < r <= 1.0 for r in rates):
         raise argparse.ArgumentTypeError("rates must lie in (0, 1]")
+    repeated = sorted({r for r in rates if rates.count(r) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"rates must be distinct, repeated: {repeated}")
     return rates
 
 

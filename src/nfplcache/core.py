@@ -20,7 +20,7 @@ STREAM_BPO = 0
 STREAM_POLICY = 1
 STREAM_TRACE = 2
 
-BERNOULLI_CHUNK = 65_536  # uniforms drawn per step of RngStream.bernoulli
+DRAW_CHUNK = 65_536  # uniforms drawn per step of a chunked draw
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,8 @@ class RngStream:
         # chunked, so a long mask never needs a float64 temporary of its
         # own length; the generator yields the same values either way
         bits = np.empty(size, dtype=bool)
-        for lo in range(0, size, BERNOULLI_CHUNK):
-            chunk = bits[lo:lo + BERNOULLI_CHUNK]
+        for lo in range(0, size, DRAW_CHUNK):
+            chunk = bits[lo:lo + DRAW_CHUNK]
             np.less(self._gen.random(len(chunk)), p, out=chunk)
         return bits
 

@@ -17,12 +17,15 @@ one run's ``wall_time``. At p < 1 the mask, and under
 checkpoint and every 65 536 requests, hands each segment to the policy's
 ``run_block`` as numpy views and reads the miss ratio where a segment ends
 on a checkpoint; no per-request call is made from here.
+
+The process pool is imported when ``run_experiment`` first starts one, so
+importing the package loads neither ``concurrent.futures.process`` nor
+``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 
@@ -306,8 +309,11 @@ def run_experiment(
         finally:
             _CTX.clear()
     else:
-        # the pool forks all its workers up front, so it gets no more than
-        # there are seeds
+        # imported here, so that a run without a pool never loads it; the
+        # pool forks all its workers up front, so it gets no more than there
+        # are seeds
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(ctx,)
         ) as pool:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Catalog, RngStream, Trace
+from .core import DRAW_CHUNK, Catalog, RngStream, Trace
 
 
 @dataclass(eq=False)
@@ -39,14 +39,61 @@ def zipf_probs(n_files: int, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def bucket_count(n_files: int, length: int) -> int:
+    """The number k of buckets ``gen_zipf`` cuts [0, 1) into: a power of two,
+    about four per file and at most ``length / 4``, so building the table
+    never costs more than the draws."""
+    return 1 << min((n_files - 1).bit_length() + 2, (length // 4).bit_length())
+
+
+def inverse_cdf(cum: np.ndarray, k: int, length: int, rng: RngStream) -> np.ndarray:
+    """``searchsorted(cum, rng.random(length), side="right")`` through k
+    buckets, for a non-decreasing ``cum`` that ends at 1.0 and a power of
+    two k; the uniforms are drawn ``DRAW_CHUNK`` at a time."""
+    # lo[b] = #{cum <= b/k}, exact as cum * k is
+    lo = np.cumsum(np.bincount(np.ceil(cum * k).astype(np.intp), minlength=k + 1))
+    first = lo[:k]
+    edge = cum[first]  # the first entry above b/k
+    wide = lo[1:k + 1] - first > 1
+    ids = np.empty(length, dtype=np.int64)
+    for start in range(0, length, DRAW_CHUNK):
+        chunk = ids[start:start + DRAW_CHUNK]
+        u = rng.random(len(chunk))
+        b = (u * k).astype(np.intp)
+        np.add(first[b], u >= edge[b], out=chunk)
+        far = np.flatnonzero(wide[b])
+        chunk[far] = np.searchsorted(cum, u[far], side="right")
+    return ids
+
+
 def gen_zipf(catalog: Catalog, length: int, alpha: float, rng: RngStream) -> Trace:
-    """I.i.d. Zipf-distributed requests, sampled by inverse-cdf lookup."""
+    """I.i.d. Zipf-distributed requests, sampled by inverse-cdf lookup.
+
+    Request t is ``searchsorted(cum, u_t, side="right")`` for the t-th
+    uniform u_t of ``rng``, exactly; the lookup reads a table of k buckets
+    (``bucket_count``) instead of binary-searching every u_t.
+
+    Since k is a power of two, ``u * k`` and ``cum * k`` are exact. So
+    bucket ``b = floor(u * k)`` holds exactly the u with
+    ``b/k <= u < (b+1)/k``, and the answer lies in ``lo[b] .. lo[b+1]``,
+    where ``lo[b]`` is the number of ``cum`` entries ``<= b/k``:
+    ``cumsum(bincount(ceil(cum * k)))``. Where a bucket holds at most one
+    entry of ``cum``, the answer is ``lo[b] + (u >= cum[lo[b]])``. The u
+    in a wider bucket take ``searchsorted`` itself. Buckets widen only
+    where entries of ``cum`` lie closer than 1/k: in the flat tail of a
+    steep Zipf, which few u reach, or wherever ``length / 4`` caps k well
+    below 4N. The table costs O(N + k) and each request O(1).
+
+    The uniforms are drawn in chunks into the id array, so no float array
+    of the trace's length is ever held; ``Generator.random`` yields the
+    same values however a draw is split.
+    """
     if length < 1:
         raise ValueError("length must be positive")
     cum = np.cumsum(zipf_probs(catalog.n_files, alpha))
     cum[-1] = 1.0
-    ids = np.searchsorted(cum, rng.random(length), side="right")
-    return Trace(catalog, ids)
+    k = bucket_count(catalog.n_files, length)
+    return Trace(catalog, inverse_cdf(cum, k, length, rng))
 
 
 def gen_zipf_rr(

@@ -62,6 +62,17 @@ def test_unknown_policy_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_repeated_policy_name_is_usage_error(tmp_path, capsys, command):
+    extra = ["--rates", "0.5"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--gen-kind", "zipf", "--n", "50", "--t", "200",
+                 "--policies", "s-nfpl,s-nfpl", "--c", "2", "--out", str(tmp_path)] + extra)
+    assert exc.value.code == 2
+    assert "policy names must be unique, repeated: ['s-nfpl']" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_zero_checkpoints_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["run", "--gen-kind", "zipf", "--n", "20", "--t", "100",
@@ -445,6 +456,18 @@ def test_sweep_rates_that_round_to_one_fixed_b_are_usage_errors(tmp_path, capsys
                  "--policies", "s-nfpl", "--c", "2", "--out", str(tmp_path)] + flags)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("mode", ["var", "fix", "both"])
+def test_sweep_repeated_rate_is_usage_error(tmp_path, capsys, mode):
+    # "0.5" and "0.50" are one rate, which would be simulated twice
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--gen-kind", "zipf", "--n", "200", "--t", "5000",
+                 "--policies", "s-nfpl", "--c", "5", "--rates", "0.2,0.5,0.50",
+                 "--mode", mode, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "rates must be distinct, repeated: [0.5]" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import nfplcache
 from nfplcache.core import (
-    BERNOULLI_CHUNK,
+    DRAW_CHUNK,
     Catalog,
     PolicyConfig,
     Trace,
@@ -77,8 +77,8 @@ def test_bernoulli_edge_probabilities():
         s.bernoulli(1.5, 10)
 
 
-@pytest.mark.parametrize("size", [0, 1, BERNOULLI_CHUNK - 1, BERNOULLI_CHUNK,
-                                  BERNOULLI_CHUNK + 1, 2 * BERNOULLI_CHUNK + 3])
+@pytest.mark.parametrize("size", [0, 1, DRAW_CHUNK - 1, DRAW_CHUNK,
+                                  DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 3])
 def test_bernoulli_bits_match_one_uniform_draw(size):
     # drawn chunk by chunk, yet the same bits as one draw of `size` uniforms,
     # and the stream continues where the chunks stopped

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,13 +298,13 @@ def test_pool_gets_no_more_workers_than_seeds(monkeypatch):
     spec, trace, cfg = small_setup(t=500)
     specs = [PolicySpec("s-nfpl", cfg)]
     asked = []
-    pool = engine.ProcessPoolExecutor
+    pool = futures.ProcessPoolExecutor
 
     def capped_pool(max_workers, **kwargs):
         asked.append(max_workers)
         return pool(max_workers=min(max_workers, 2), **kwargs)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", capped_pool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", capped_pool)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         two = run_experiment(spec, specs, runs=2, base_seed=0, trace=trace, parallelism=16)
@@ -309,19 +314,29 @@ def test_pool_gets_no_more_workers_than_seeds(monkeypatch):
     assert asked == [2]
 
 
+def test_import_loads_no_process_pool():
+    # a fresh interpreter, so modules other tests loaded do not count
+    src = str(Path(engine.__file__).parents[1])
+    code = ("import sys, nfplcache; print(sorted(m for m in sys.modules if m in "
+            "('concurrent.futures.process', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
 def test_only_seedless_policies_fork_no_pool(monkeypatch):
     # lfu and lru at p = 1 on a shared trace need one simulation each, so
     # no seed is left for a worker
     spec, trace, cfg = small_setup(t=500)
     specs = [PolicySpec("lfu", cfg), PolicySpec("lru", cfg)]
     asked = []
-    pool = engine.ProcessPoolExecutor
+    pool = futures.ProcessPoolExecutor
 
     def capped_pool(max_workers, **kwargs):
         asked.append(max_workers)
         return pool(max_workers=min(max_workers, 2), **kwargs)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", capped_pool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", capped_pool)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out = run_experiment(spec, specs, runs=4, base_seed=0, trace=trace, parallelism=4)

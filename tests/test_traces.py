@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from scipy import stats
 from nfplcache.core import STREAM_TRACE, Catalog, spawn_stream
 from nfplcache.traces import (
     bpo_mask,
+    bucket_count,
     gen_round_robin,
     gen_zipf,
     gen_zipf_rr,
+    inverse_cdf,
     load_trace,
     save_trace,
     zipf_probs,
@@ -45,6 +48,95 @@ def test_zipf_goodness_of_fit():
     expected = zipf_probs(n, 1.0) * t
     _, pvalue = stats.chisquare(observed, expected)
     assert pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n, t, alpha, seed, digest", [
+    (1, 1000, 1.0, 0, "668946bab9868b28"),
+    (120, 1_000_000, 1.0, 0, "f0c34a656a43cf73"),
+    (10_000, 200_000, 1.0, 2024, "c5bfd7fbd3492dfc"),
+    (1000, 100_003, 0.8, 7, "1624db21f2756496"),  # a partial last chunk
+    (100_000, 300_000, 2.5, 3, "ee103dfd0ab570de"),  # wide buckets near 1
+    (70_000, 65_537, 0.05, 11, "0e68399143e5b363"),
+    (5, 65_536, 5.0, 1, "205507e3bfe3a8d8"),
+])
+def test_zipf_pinned_digests(n, t, alpha, seed, digest):
+    trace = gen_zipf(Catalog(n), t, alpha, spawn_stream(seed, STREAM_TRACE))
+    got = hashlib.sha256(trace.requests.astype("<i8").tobytes()).hexdigest()[:16]
+    assert got == digest
+
+
+def zipf_cdf(n, alpha):
+    cum = np.cumsum(zipf_probs(n, alpha))
+    cum[-1] = 1.0
+    return cum
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 70_000), alpha=st.floats(0.05, 5.0),
+       t=st.one_of(st.sampled_from([1, 65_535, 65_536, 65_537]), st.integers(1, 200_000)),
+       seed=st.integers(0, 2**32 - 1))
+def test_zipf_lookup_is_the_binary_search(n, alpha, t, seed):
+    trace = gen_zipf(Catalog(n), t, alpha, spawn_stream(seed, STREAM_TRACE))
+    u = spawn_stream(seed, STREAM_TRACE).random(t)
+    want = np.searchsorted(zipf_cdf(n, alpha), u, side="right")
+    assert np.array_equal(trace.requests, want)
+
+
+class FixedUniforms:
+    """Hands out given uniforms in order, as ``RngStream.random`` would."""
+
+    def __init__(self, u):
+        self.u = u
+        self.at = 0
+
+    def random(self, size):
+        self.at += size
+        return self.u[self.at - size:self.at]
+
+
+def around(x):
+    """x and its neighbouring doubles, kept in [0, 1)."""
+    x = np.asarray(x, dtype=float)
+    near = np.concatenate([np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)])
+    return np.unique(near[(near >= 0.0) & (near < 1.0)])
+
+
+def lookup(cum, k, u):
+    return inverse_cdf(cum, k, len(u), FixedUniforms(u))
+
+
+@pytest.mark.parametrize("n, alpha, t", [
+    (1, 1.0, 1), (2, 1.0, 100), (5, 5.0, 1000), (120, 1.0, 1_000_000),
+    (1000, 0.05, 100_000), (70_000, 5.0, 65_537), (100_000, 2.5, 300_000),
+])
+def test_zipf_lookup_on_bucket_edges_and_cdf_entries(n, alpha, t):
+    cum = zipf_cdf(n, alpha)
+    k = bucket_count(n, t)
+    u = around(np.concatenate([np.arange(k) / k, cum]))
+    assert np.array_equal(lookup(cum, k, u), np.searchsorted(cum, u, side="right"))
+
+
+@pytest.mark.parametrize("side", [0.0, None, 1.0], ids=["below", "on", "above"])
+@pytest.mark.parametrize("n, t", [(1, 1), (3, 40), (120, 1_000_000), (5000, 10_000)])
+def test_lookup_where_the_cdf_sits_at_every_bucket_edge(n, t, side):
+    # one cdf entry at each bucket edge, or one double to its side, so every
+    # bucket holds one entry and takes the one-comparison answer
+    k = bucket_count(n, t)
+    edges = np.arange(1, k) / k
+    cum = np.append(edges if side is None else np.nextafter(edges, side), 1.0)
+    u = around(np.concatenate([np.arange(k) / k, cum]))
+    assert np.array_equal(lookup(cum, k, u), np.searchsorted(cum, u, side="right"))
+
+
+def test_zipf_draw_holds_one_trace_sized_array():
+    # the ids take 7.6 MiB; the uniforms are drawn in 64k chunks beside them
+    tracemalloc.start()
+    try:
+        gen_zipf(Catalog(120), 1_000_000, 1.0, spawn_stream(0, STREAM_TRACE))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_zipf_rejects_bad_alpha():
