@@ -247,6 +247,8 @@ def run_experiment(
     """
     if runs < 1:
         raise ValueError("need at least one run")
+    if not policy_specs:
+        raise ValueError("need at least one policy")
     names = [s.name for s in policy_specs]
     unknown = [name for name in names if name not in POLICY_NAMES]
     if unknown:

@@ -33,30 +33,28 @@ protocol; the tracker is called only to sift a member at an inner heap node
 or to swap in a non-member that beats the weakest member. An LFU hit only
 raises a count: its heap keys may lag, and a miss brings the root up to date.
 
-Static noise, and lazy noise at B = 1, add a block's counts with one
-``bincount`` and keep the cache also as a bool mask of N entries. The cache
-changes only at a swap, which is rare, so the requests between two swaps are
-scored as the number of true entries of the mask at their ids. Static noise
-loops in Python over the counted requests only, at every B, and a swap
-reaches the cache where its batch ends. Lazy noise at B = 1 is driven by
-grid crossings instead: each file keeps the count at which its score next
-rises, and Python runs only for the files whose count reaches it; a stable
-radix sort of their ids locates their crossings, which raise the scores in
-request order. Dynamic noise changes its cache only at the end of a batch
-that counted a request, so it scores the requests in between on its cache
-mask in the same way, and their counted ids wait as a slice of the block's
-for the refresh.
+Static and lazy noise add a block's counts with one ``bincount`` and keep
+the cache also as a bool mask of N entries. The cache changes only at a
+swap, which is rare and reaches the cache where its batch ends, so the
+requests between two swaps are scored as the number of true entries of the
+mask at their ids. Static noise loops in Python over the counted requests
+only. Lazy noise is driven by grid crossings instead: each file keeps the
+count at which its score next rises, and Python runs only for the files
+whose count reaches it; a stable radix sort of their ids locates their
+crossings, and each batch's rises go through the heap where it ends.
+Dynamic noise changes its cache only at the end of a batch that counted a
+request, so it scores the requests in between on its cache mask in the same
+way, and their counted ids wait as a slice of the block's for the refresh.
 
 Each policy's one simulation loop is ``run_block(t0, requests, observed)``,
 which feeds a block of requests and returns its misses; where the blocks
 end, and so where miss ratios are read, is up to the caller. A block is a
 pair of numpy arrays, the file ids (int) and the observation bits (bool),
 which may be views of the caller's arrays; they are neither written nor
-kept once the block returns. The per-request loops (lazy noise at B > 1,
-LFU, LRU) turn them into lists when they start; static and dynamic noise,
-and lazy noise at B = 1, read them as arrays. ``step`` is a
-one-request block that returns a :class:`PolicyStep`. Whatever the policy,
-``cache`` holds Python ints.
+kept once the block returns. The per-request loops of LFU and LRU turn them
+into lists when they start; the NFPL kernels read them as arrays. ``step``
+is a one-request block that returns a :class:`PolicyStep`. Whatever the
+policy, ``cache`` holds Python ints.
 
 File ids are checked once, where they enter the program: a
 :class:`~nfplcache.core.Trace` holds only ids in ``[0, N)``, and ``step``
@@ -71,6 +69,8 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from heapq import heapreplace
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -124,11 +124,11 @@ class _BlockPolicy:
     """The per-request entry point shared by every policy.
 
     A policy has ``n_files`` and implements ``run_block(t0, requests,
-    observed) -> misses``: one loop over requests t0+1 .. t0+len(requests),
-    given as an int array of file ids in ``[0, n_files)`` and a bool array
-    of observation bits, with its state bound to locals; it scores each
-    request against the cache it finds and then updates. It keeps no
-    reference to either array once it returns.
+    observed) -> misses`` over requests t0+1 .. t0+len(requests), given as
+    an int array of file ids in ``[0, n_files)`` and a bool array of
+    observation bits: LFU and LRU loop over the requests, NFPL only over the
+    events that can move its cache. Each request is scored against the cache
+    it finds, then counted. No reference to either array outlives the call.
     """
 
     _one = None  # step()'s one-request block: made by the first call, rewritten by each
@@ -185,6 +185,7 @@ class NfplPolicy(_BlockPolicy):
                 f"unknown policy {name!r}; valid names: {', '.join(POLICY_NAMES)}"
             )
         self._mode, self._full_observation = NFPL_VARIANTS[name]
+        self._kernel = self._KERNELS[self._mode]  # unbound: the policy holds no cycle
         super().__init__(config.cache_capacity, catalog)
         n = self.n_files
         if horizon < 1:
@@ -245,28 +246,24 @@ class NfplPolicy(_BlockPolicy):
             self._gamma = gamma0.tolist()
             self.tracker = TopCTracker(self._gamma, config.cache_capacity)
             self._cache = self.tracker.members()
-            if self._mode == "lazy" and self._batch > 1:
-                # _run_requests's counts, a plain list (the ``counts``
-                # property gives a numpy copy), and the files it counted
-                # since the last refresh
-                self._counts = [0] * n
+            # the kernels' counts, the cache also as a bool mask, and whether
+            # the batch open at the end of the last block counted a request
+            self._counts = np.zeros(n, dtype=np.int64)
+            self._in_cache = np.zeros(n, dtype=bool)
+            self._in_cache[self.tracker.heap] = True
+            self._flag = False
+            if self._mode == "lazy":
+                # the count at which each file's score next rises: the
+                # first count above gamma0 (>= 0, so truncation is floor)
+                self._next = gamma0.astype(np.int64) + 1
+                self._id_dtype = np.min_scalar_type(n - 1)
+                # the files counted in that open batch, added in request
+                # order: the batch's rises follow this set's iteration order
                 self._dirty: set[int] = set()
             else:
-                # the block kernels' counts, and the cache also as a bool mask
-                self._counts = np.zeros(n, dtype=np.int64)
-                self._in_cache = np.zeros(n, dtype=bool)
-                self._in_cache[self.tracker.heap] = True
-                if self._mode == "lazy":
-                    # the count at which each file's score next rises: the
-                    # first count above gamma0 (>= 0, so truncation is floor)
-                    self._next = gamma0.astype(np.int64) + 1
-                    self._id_dtype = np.min_scalar_type(n - 1)
-                else:
-                    # whether the batch open at the end of the last block
-                    # counted a request, and its swaps, each as (the time at
-                    # which it reaches the cache, evicted, admitted)
-                    self._flag = False
-                    self._waiting: list[tuple[int, int, int]] = []
+                # the open batch's swaps, each as (the time at which it
+                # reaches the cache, evicted, admitted)
+                self._waiting: list[tuple[int, int, int]] = []
 
     @property
     def cache(self) -> set[int]:
@@ -279,12 +276,14 @@ class NfplPolicy(_BlockPolicy):
 
     @property
     def counts(self) -> np.ndarray:
+        """A copy of the counts, as int64: static and lazy noise keep them
+        up to date; dynamic noise adds the ids that wait for its refresh."""
         if self._mode == "dynamic":
             counts = self._counts_np.astype(np.int64)
             for ids in self._unsynced:
                 np.add.at(counts, ids, 1)
             return counts
-        return np.array(self._counts, dtype=np.int64)
+        return self._counts.copy()
 
     @property
     def gamma(self) -> np.ndarray:
@@ -421,15 +420,7 @@ class NfplPolicy(_BlockPolicy):
         end = t0 + len(requests)
         if end > self.horizon:
             raise ValueError(f"t={end} beyond horizon {self.horizon}")
-        counted = self._counted(t0, observed)
-        if self._mode == "dynamic":
-            misses = self._run_batches(t0, requests, counted)
-        elif self._mode == "static":
-            misses = self._run_static(t0, requests, counted)
-        elif self._batch == 1:
-            misses = self._run_lazy(t0, requests, counted)
-        else:
-            misses = self._run_requests(t0, requests, counted)
+        misses = self._kernel(self, t0, requests, self._counted(t0, observed))
         self._t = end
         return misses
 
@@ -508,26 +499,30 @@ class NfplPolicy(_BlockPolicy):
                     waiting.append((((t0 + p) // batch + 1) * batch, bump(f, s)[0], f))
 
         tracker.op_counter += ops
-        sampled = len(ids)
-        self.sampled_steps += sampled
-        self.score_changes += sampled
-        # the refreshes: the distinct batches that counted a request, with the
-        # batch open at t0 if an earlier block counted in it, less the one
-        # still open at the end, which carries its flag to the next block
+        self.sampled_steps += len(ids)
+        self.score_changes += len(ids)
+        self._tally_refreshes(t0, len(requests), at)
+        if not waiting:  # the cache stays as it is
+            return len(requests) - self._in_cache[requests].tobytes().count(1)
+        return self._score_between_swaps(t0, requests, waiting)
+
+    def _tally_refreshes(self, t0: int, n: int, at: np.ndarray) -> None:
+        """Add the refreshes of ``n`` requests from t0, counted at the block
+        positions ``at``: the distinct batches that counted a request, with
+        the batch open at t0 if an earlier block counted in it, less the one
+        still open at the end, which carries its flag to the next block."""
+        batch = self._batch
         last = t0 // batch if self._flag else -1
         refreshes = last >= 0
-        if sampled:
+        if len(at):
             head, tail = (t0 + at.item(0)) // batch, (t0 + at.item(-1)) // batch
             refreshes += head != last
             if tail > head:  # count each counted request that opens a batch
                 marks = (at + t0) // batch
                 refreshes += (marks[1:] != marks[:-1]).tobytes().count(1)
             last = tail
-        self._flag = last == (t0 + len(requests)) // batch
+        self._flag = last == (t0 + n) // batch
         self.cache_refreshes += refreshes - self._flag
-        if not waiting:  # the cache stays as it is
-            return len(requests) - self._in_cache[requests].tobytes().count(1)
-        return self._score_between_swaps(t0, requests, waiting)
 
     def _score_between_swaps(self, t0: int, requests: np.ndarray, swaps: list) -> int:
         """The misses of requests t0+1 .. t0+len(requests), where each swap
@@ -553,17 +548,37 @@ class NfplPolicy(_BlockPolicy):
         del swaps[:done]
         return misses + n - lo - in_cache[requests[lo:]].tobytes().count(1)
 
+    def _in_set_order(self, rises: list, dirty: set, ids, where) -> list:
+        """The sorted ``rises``, those of a batch in which two or more files
+        rise put in the iteration order of the set of the files counted in
+        it, each added at its first counted request (``dirty`` holds the
+        files of the batch open at t0 counted before it). heap_ops and the
+        heap layout depend on that order, and a set of the rising files
+        alone can iterate in another order."""
+        ordered = []
+        for last, group in groupby(rises, itemgetter(0)):
+            group = list(group)
+            if len(group) > 1:
+                score = {f: s for _, f, s in group}
+                begin = last + 1 - self._batch  # the batch's first block position
+                lo, hi = where.searchsorted((begin, last + 1)).tolist()
+                files = dirty if begin < 0 else set()
+                files.update(ids[lo:hi].tolist())
+                group = [(last, f, score[f]) for f in files if f in score]
+            ordered += group
+        return ordered
+
     def _run_lazy(self, t0: int, requests: np.ndarray, counted: np.ndarray) -> int:
-        """Lazy noise at B = 1, driven by grid crossings. Every counted
-        request is its own refresh, but a file's score rises only at the
-        count ``_next`` holds for it, so the block is counted with one
-        ``bincount``, and only the files whose count reached that value
+        """Lazy noise, at every B, driven by grid crossings. A file's score
+        rises only where a batch ends in which its count reached ``_next``,
+        to the grid value of its count there. So the block is counted with
+        one ``bincount``, and only the files whose count reached that value
         ("hot" files) have their counted requests located: one stable sort
         of their ids groups each file's requests in request order, and the
         j-th of them brings its count to its count before the block plus
-        j + 1. The crossings then raise the scores through
-        :meth:`~nfplcache.topk.TopCTracker.bump` in request order, and a
-        swap reaches the cache right after its own request."""
+        j + 1. A batch that ends past the block leaves the file hot, with
+        its ``_next``. The rises go through the tracker's ``bump`` in batch
+        order (see :meth:`_in_set_order`); a swap reaches the cache there."""
         ids = requests[counted]
         counts = self._counts
         added = np.bincount(ids, minlength=self.n_files)
@@ -571,20 +586,35 @@ class NfplPolicy(_BlockPolicy):
         reach = counts >= self._next
         hot = reach.nonzero()[0]
         self.sampled_steps += len(ids)
-        self.cache_refreshes += len(ids)
-        if not len(hot):
-            return len(requests) - self._in_cache[requests].tobytes().count(1)
+        batch = self._batch
+        if batch == 1:  # each counted request is a batch, and a refresh, of its own
+            self.cache_refreshes += len(ids)
+            if not len(hot):
+                return len(requests) - self._in_cache[requests].tobytes().count(1)
+            where = counted.nonzero()[0]  # the counted requests' block positions
+        else:
+            n = len(requests)
+            where = counted.nonzero()[0]
+            self._tally_refreshes(t0, n, where)
+            dirty = self._dirty  # the batch open at t0 may end in this block
+            # carry the files counted in the batch open at the end
+            begin = (t0 + n) // batch * batch - t0  # where the open batch starts
+            if begin > 0:
+                self._dirty = set()
+            self._dirty.update(ids[where.searchsorted(begin):].tolist())
+            if not len(hot) or begin <= 0:  # no file, or no batch, to rise
+                return n - self._in_cache[requests].tobytes().count(1)
 
         # the hot files' counted requests, as block positions grouped by
         # file in ascending id order (that of ``hot``); ids narrowed to the
         # least dtype that holds them sort by radix sort
-        at = counted.nonzero()[0][reach[ids]]
+        at = where[reach[ids]]
         at = at[requests[at].astype(self._id_dtype).argsort(kind="stable")]
         grid = self._gamma  # gamma0, never rewritten
         eta = self.eta
         ceil = math.ceil
         floor = math.floor
-        crossings = []  # (block position, file, new score)
+        rises = []  # (block position of its batch's last request, file, new score)
         nexts = []
         lo = 0
         for f, size, k1, k in zip(
@@ -593,11 +623,26 @@ class NfplPolicy(_BlockPolicy):
             g0 = grid[f]
             # f's count reaches k1 - size + i at its i-th request of the
             # block, at[lo + i - 1]; so count k is reached at at[shift + k].
-            # Only the crossings' positions become Python ints.
+            # Only the positions that locate a batch become Python ints.
             shift = lo + size - k1 - 1
             while k <= k1:
+                if batch == 1:  # the request is its batch
+                    last = at.item(shift + k)
+                else:
+                    i = shift + k
+                    if i < lo:  # reached before the block, in the batch open at t0
+                        i, p = lo - 1, -1
+                    else:
+                        p = at.item(i)
+                    # the block position of the last request in p's batch
+                    last = (t0 + p) // batch * batch + batch - 1 - t0
+                    if last >= n:
+                        break  # after the block: f stays hot, and k waits
+                    while i + 1 < lo + size and at.item(i + 1) <= last:
+                        i += 1
+                    k = i - shift  # f's count where the batch ends
                 s = g0 + eta * ceil((k - g0) / eta)
-                crossings.append((at.item(shift + k), f, s))
+                rises.append((last, f, s))
                 # the least count past k at which the score rises from s:
                 # the first whose grid line lies above s, screened by
                 # k + 0.5 > s (which such a count meets for any score
@@ -610,68 +655,20 @@ class NfplPolicy(_BlockPolicy):
             nexts.append(k)
             lo += size
         self._next[hot] = nexts
-        self.score_changes += len(crossings)
-        crossings.sort()
+        self.score_changes += len(rises)
+        rises.sort()
 
+        if batch > 1:
+            rises = self._in_set_order(rises, dirty, ids, where)
         bump = self.tracker.bump
         swaps = []
-        for p, f, s in crossings:
+        for last, f, s in rises:
             evicted = bump(f, s)[0]
             if evicted is not None:
-                swaps.append((t0 + p + 1, evicted, f))
+                swaps.append((t0 + last + 1, evicted, f))
         return self._score_between_swaps(t0, requests, swaps)
 
-    def _run_requests(self, t0: int, requests: np.ndarray, counted: np.ndarray) -> int:
-        """Lazy noise at B > 1: one pass over the requests. Each batch that
-        counted a request ends in a refresh that moves its counted files
-        back onto their grids, and the swaps go into the cache there."""
-        requests, counted = requests.tolist(), counted.tolist()
-        t = t0
-        cache = self._cache
-        counts = self._counts
-        bump = self.tracker.bump
-        scores = self.tracker.scores
-        dirty = self._dirty
-        grid = self._gamma  # gamma0, never rewritten
-        eta = self.eta
-        ceil = math.ceil
-        batch = self._batch
-        boundary = (t // batch + 1) * batch
-        misses = changes = refreshes = 0
-
-        for f, c in zip(requests, counted):
-            t += 1
-            if f not in cache:
-                misses += 1
-            if c:
-                counts[f] += 1
-                # Every counted file joins, not only those that may have
-                # crossed a grid line: the refresh bumps in the set's
-                # iteration order, heap_ops depend on that order, and a set
-                # of the crossing files alone can iterate in another order
-                # than the set of all counted files.
-                dirty.add(f)
-            if t == boundary:
-                boundary += batch
-                if dirty:
-                    refreshes += 1
-                    # the score rises only when the count crossed a line
-                    for g in dirty:
-                        g0 = grid[g]
-                        new_score = g0 + eta * ceil((counts[g] - g0) / eta)
-                        if new_score > scores[g]:
-                            changes += 1
-                            evicted = bump(g, new_score)[0]
-                            if evicted is not None:
-                                cache.remove(evicted)
-                                cache.add(g)
-                    dirty.clear()
-
-        sampled = counted.count(True)
-        self.sampled_steps += sampled
-        self.score_changes += changes
-        self.cache_refreshes += refreshes
-        return misses
+    _KERNELS = {"dynamic": _run_batches, "static": _run_static, "lazy": _run_lazy}
 
 
 class LfuPolicy(_BlockPolicy):

@@ -239,7 +239,9 @@ def test_one_optimum_per_trace_and_capacity(monkeypatch, regen):
     ("lfu", 1, 1_000_000, True), ("lru", 1, 1_000_000, True),
     # run_one draws the mask: a T-byte mask alone would take 3.8 MiB
     ("lru", 1, 4_000_000, False),
-], ids=["s-nfpl-1", "l-nfpl-1", "d-nfpl-100", "fpl-1", "lfu-1", "lru-1", "lru-1-drawn-mask"])
+    ("l-nfpl", 10, 1_000_000, True),
+], ids=["s-nfpl-1", "l-nfpl-1", "d-nfpl-100", "fpl-1", "lfu-1", "lru-1", "lru-1-drawn-mask",
+        "l-nfpl-10"])
 def test_run_one_memory_does_not_grow_with_the_horizon(name, batch, t, given_mask):
     # the trace and a given mask are inputs, built first; a copy of the
     # 1M-request trace as a list of ids alone would take 8 MiB
@@ -290,6 +292,18 @@ def test_unknown_policy_is_rejected_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match="unknown policy 'nope'"):
         run_experiment(spec, [PolicySpec("lru", cfg), PolicySpec("nope", cfg)],
                        runs=1, base_seed=0, trace=trace, parallelism=2)
+
+
+def test_empty_policy_list_is_rejected_before_any_work(monkeypatch):
+    spec, _, _ = small_setup()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("set-up ran")
+
+    monkeypatch.setattr(engine, "make_trace", no_work)
+    monkeypatch.setattr(engine, "opt_static", no_work)
+    with pytest.raises(ValueError, match="need at least one policy"):
+        run_experiment(spec, [], runs=3, base_seed=0)
 
 
 def test_pool_gets_no_more_workers_than_seeds(monkeypatch):

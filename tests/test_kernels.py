@@ -399,16 +399,47 @@ def test_first_score_rise_is_at_the_first_count_above_gamma0(eta):
         assert _first_rise(ref, 0, first + 1) == first, g0
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_lazy_refresh_bump_order_at_large_batches(seed):
-    # several files cross a grid line in one batch of 10, and heap_ops and
-    # the heap layout depend on the order in which the refresh bumps them
+def _shared_multi_rise_batches(n, config, requests, cuts, seed):
+    """The number of the reference's batches in which two or more files
+    rise and which a cut splits after a counted request, so that the set
+    of the batch's files began in an earlier block."""
+    ref = make_reference("l-nfpl", config, Catalog(n), len(requests), spawn_stream(seed, 1))
+    batch = config.batch_size
+    found = 0
+    split = False
+    for t, f in enumerate(requests, start=1):
+        before = list(ref.tracker.scores)
+        ref.step(t, f, True)
+        if t % batch:
+            split = split or (t in cuts and bool(ref._dirty))
+            continue
+        rises = sum(s > s0 for s, s0 in zip(ref.tracker.scores, before))
+        found += split and rises >= 2
+        split = False
+    return found
+
+
+BUMP_ORDER = [
+    *(pytest.param(10, seed, id=str(seed)) for seed in range(3)),
+    *(pytest.param(64, seed, id=f"B64-{seed}") for seed in range(3)),
+]
+
+
+@pytest.mark.parametrize("batch, seed", BUMP_ORDER)
+def test_lazy_refresh_bump_order_at_large_batches(batch, seed):
+    # several files cross a grid line in one batch, and heap_ops and the
+    # heap layout depend on the order in which the refresh bumps them;
+    # random cuts fall inside batches, so some of those batches begin in
+    # one block and end in another
     n, horizon = 150, 3000
-    config = PolicyConfig(cache_capacity=12, batch_size=10, eta=3.0)
+    config = PolicyConfig(cache_capacity=12, batch_size=batch, eta=3.0)
     rng = np.random.default_rng(seed)
     requests = (rng.zipf(1.2, horizon) % n).tolist()
-    scenario = (n, config, requests, [True] * horizon, [0, 1234, horizon])
-    check_blocks_against_reference("l-nfpl", scenario, seed)
+    cuts = {1234} | {int(x) for x in rng.integers(1, horizon, 40) if x % batch}
+    assert _shared_multi_rise_batches(n, config, requests, cuts, seed) >= 1
+    scenario = (n, config, requests, [True] * horizon, [0, *sorted(cuts), horizon])
+    pol = check_blocks_against_reference("l-nfpl", scenario, seed)
+    assert set(pol.cache) == set(np.flatnonzero(pol._in_cache).tolist())
 
 
 @pytest.mark.parametrize(
@@ -480,14 +511,20 @@ def test_sampling_bits_refill_across_chunks():
     assert state(pol) == state(ref)
 
 
+def _grid_value(ref, f):
+    """The reference's lazy score of file ``f`` at its current count."""
+    g0 = ref.gamma0[f]
+    return g0 + ref.eta * math.ceil((int(ref.counts[f]) - g0) / ref.eta)
+
+
 PQ = [(0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0)]
 LONG_RUNS = [
     *(pytest.param(name, p, q, 1, None, id=f"{p}-{q}-{name}")
       for name in ("s-nfpl", "fpl", "l-nfpl") for p, q in PQ),
     *(pytest.param(name, p, q, 7, None, id=f"B7-{p}-{q}-{name}")
-      for name in ("s-nfpl", "fpl") for p, q in PQ),
+      for name in ("s-nfpl", "fpl", "l-nfpl") for p, q in PQ),
     *(pytest.param(name, p, 1.0, 7, 3, id=f"B7-b3-{p}-{name}")
-      for name in ("s-nfpl", "fpl") for p in (0.5, 1.0)),
+      for name in ("s-nfpl", "fpl", "l-nfpl") for p in (0.5, 1.0)),
 ]
 
 
@@ -497,7 +534,9 @@ def test_unbatched_loop_over_a_long_run(name, p, q, batch, fixed):
     # cuts include one-request blocks fed through step(), and each cut
     # compares misses, counters, cache, counts, scores and heap. At B > 1 a
     # block also ends wherever a swap waits for the end of its batch (at
-    # most ten times), so that the next block must apply it.
+    # most ten times), so that the next block must apply it; under lazy
+    # noise, wherever a counted file's grid value has passed its score and
+    # the rise waits for the end of the batch.
     n, c, horizon = 400, 40, 20_000
     sampling = {"sample_prob": q} if fixed is None else {"fixed_per_batch": fixed}
     config = PolicyConfig(cache_capacity=c, batch_size=batch, observe_prob=p,
@@ -517,7 +556,11 @@ def test_unbatched_loop_over_a_long_run(name, p, q, batch, fixed):
         before = set(ref.cache)
         want += not ref.step(hi, requests[hi - 1], observed[hi - 1])
         swaps += set(ref.cache) != before
-        waiting = bool(hi % batch and ref._pending)
+        if name == "l-nfpl":
+            waiting = bool(hi % batch) and any(_grid_value(ref, f) > ref.tracker.scores[f]
+                                               for f in ref._dirty)
+        else:
+            waiting = bool(hi % batch and ref._pending)
         if hi not in cuts and not (waiting and waits < 10):
             continue
         waits += waiting
@@ -527,8 +570,13 @@ def test_unbatched_loop_over_a_long_run(name, p, q, batch, fixed):
             got += pol.run_block(lo, np.asarray(requests[lo:hi]), np.asarray(observed[lo:hi]))
         lo = hi
         assert got == want
-        assert state(pol) == state(ref)
-        if waiting:
+        # mid-batch, the lazy reference still holds the last boundary's offsets
+        with_gamma = name != "l-nfpl" or hi % batch == 0
+        assert state(pol, with_gamma) == state(ref, with_gamma)
+        if waiting and name == "l-nfpl":  # the tracker waits with the cache
+            assert set(pol.cache) == set(pol.tracker.heap)
+            assert set(pol.cache) == set(np.flatnonzero(pol._in_cache).tolist())
+        elif waiting:
             assert set(pol.cache) != set(pol.tracker.heap)
     assert swaps > (100 if batch == 1 else 50)
     assert pol.heap_ops > swaps
