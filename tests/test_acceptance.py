@@ -50,6 +50,7 @@ def full_scale_specs():
     ]
 
 
+@pytest.mark.slow
 def test_criterion_1_adversarial_trace_comparison():
     spec = TraceSpec(kind="zipf-rr", n_files=FULL_N, length=FULL_T, alpha=1.0, seed=2024)
     trace = make_trace(spec)
@@ -64,6 +65,7 @@ def test_criterion_1_adversarial_trace_comparison():
            " ".join(f"{k}={v:.4f}" for k, v in finals.items()))
 
 
+@pytest.mark.slow
 def test_criterion_2_stationary_trace_ordering():
     spec = TraceSpec(kind="zipf", n_files=FULL_N, length=FULL_T, alpha=1.0, seed=2024)
     trace = make_trace(spec)
@@ -78,6 +80,7 @@ def test_criterion_2_stationary_trace_ordering():
            " ".join(f"{k}={v:.4f}" for k, v in finals.items()))
 
 
+@pytest.mark.slow
 def test_criterion_3_regret_stays_below_closed_form_bound():
     n, t, seeds = 100, 10_000, 100
     worst = (None, 0.0)
@@ -162,6 +165,7 @@ def _tracker_mismatches(n: int) -> int:
     return bad
 
 
+@pytest.mark.slow
 def test_criterion_6_oracle_equivalence():
     with ProcessPoolExecutor(max_workers=WORKERS) as pool:
         mismatches = sum(pool.map(_tracker_mismatches, range(2, 31)))
@@ -213,6 +217,7 @@ def _cache_set_histogram(name: str, seeds: range) -> dict[int, np.ndarray]:
     return hist
 
 
+@pytest.mark.slow
 def test_criterion_7_noise_marginal_and_variant_equivalence():
     eta = 3.0
     samples = [_lazy_gamma_sample(seed, eta) for seed in range(10_000)]

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nfplcache.core import Catalog, PolicyConfig, RngStream, default_eta, spawn_stream
+from nfplcache.metrics import default_checkpoints
 from nfplcache.policies import LfuPolicy, make_policy
 from nfplcache.topk import TopCTracker
 from nfplcache.traces import gen_zipf, gen_zipf_rr
@@ -480,17 +481,81 @@ def test_dynamic_refresh_over_long_runs_ranks_only_candidates(
     assert any(0 < m < n for m, size in draws if size == n)
 
 
+def _check_lfu_heap(pol, n, c):
+    heap = pol._heap
+    assert len(heap) == c
+    assert {n - 1 - key % n for key in heap} == pol.cache
+    # a hit leaves its key behind: a stored key may lag but never lead
+    assert all(key <= pol.counts[n - 1 - key % n] * n + key % n for key in heap)
+
+
 def test_lfu_heap_stays_at_capacity_over_a_long_trace():
     n, c, t = 120, 100, 1_000_000
     trace = gen_zipf(Catalog(n), t, 1.0, spawn_stream(0, 2))
     observed = spawn_stream(0, 0).bernoulli(0.5, t).tolist()
     pol = LfuPolicy(c, Catalog(n))
     pol.run_block(0, trace.requests, np.asarray(observed))
-    heap = pol._heap
-    assert len(heap) == c
-    assert {n - 1 - key % n for key in heap} == pol.cache
-    # a hit leaves its key behind: a stored key may lag but never lead
-    assert all(key <= pol.counts[n - 1 - key % n] * n + key % n for key in heap)
+    _check_lfu_heap(pol, n, c)
+
+
+def test_lfu_heap_stays_at_capacity_at_run_one_cuts():
+    # one block from t = 0 settles no member: every count starts at 0. Cut
+    # where run_one cuts, most blocks of at least N requests settle members,
+    # whose keys the loop leaves behind at their counts from the block's start.
+    n, c, t = 120, 100, 1_000_000
+    trace = gen_zipf(Catalog(n), t, 1.0, spawn_stream(0, 2))
+    observed = spawn_stream(0, 0).bernoulli(0.5, t)
+    pol = LfuPolicy(c, Catalog(n))
+    lo = 0
+    for hi in sorted({*range(65_536, t, 65_536), *default_checkpoints(t), t}):
+        pol.run_block(lo, trace.requests[lo:hi], observed[lo:hi])
+        _check_lfu_heap(pol, n, c)
+        lo = hi
+
+
+@st.composite
+def long_lfu_scenarios(draw):
+    """Long skewed traces in small catalogs at C >= N/2, cut into blocks of
+    at least N requests, so that LFU's screen runs on every block."""
+    n = draw(st.integers(3, 40))
+    c = draw(st.integers((n + 1) // 2, n - 1))
+    horizon = draw(st.integers(1_000, 20_000))
+    p = draw(st.sampled_from((0.5, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    requests = rng.zipf(1.3, horizon) % n
+    observed = rng.random(horizon) < p
+    bounds = [0]
+    for cut in sorted(draw(st.lists(st.integers(1, horizon), max_size=12))):
+        if cut - bounds[-1] >= n and horizon - cut >= n:
+            bounds.append(cut)
+    return n, c, requests, observed, [*bounds, horizon]
+
+
+def test_lfu_screen_settles_only_members_no_miss_evicts():
+    settled_total = []
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(scenario=long_lfu_scenarios())
+    def check(scenario):
+        n, c, requests, observed, bounds = scenario
+        ref = RefLfu(c, Catalog(n))
+        pol = LfuPolicy(c, Catalog(n))
+        for lo, hi in zip(bounds, bounds[1:]):
+            block, bits = requests[lo:hi], observed[lo:hi]
+            settled = set(pol._settle(block, bits)[0].tolist())
+            settled_total.append(len(settled))
+            misses = 0
+            for t, (f, obs) in enumerate(zip(block.tolist(), bits.tolist()), lo + 1):
+                assert settled <= ref.cache
+                misses += not ref.step(t, f, obs)
+            assert settled <= ref.cache
+            assert pol.run_block(lo, block, bits) == misses
+            assert pol.cache == ref.cache
+            assert pol.counts == ref.counts
+            assert pol.sampled_steps == ref.sampled_steps
+
+    check()
+    assert sum(settled_total) > 0
 
 
 def test_sampling_bits_refill_across_chunks():
