@@ -14,8 +14,6 @@ from .engine import PolicySpec, TraceSpec, make_trace, run_experiment, run_one
 from .metrics import AggregateResult, RunResult, aggregate
 from .oracle import (
     BoundParams,
-    minimized_regret_bound,
-    minimizing_eta,
     opt_static,
     regret_bound_caching,
     regret_bound_general,
@@ -63,8 +61,6 @@ __all__ = [
     "load_trace",
     "make_policy",
     "make_trace",
-    "minimized_regret_bound",
-    "minimizing_eta",
     "opt_static",
     "regret_bound_caching",
     "regret_bound_general",

@@ -105,18 +105,3 @@ def regret_bound_general(params: BoundParams) -> float:
     second = params.eta / params.p * params.diameter
     return first + second
 
-
-def minimizing_eta(params: BoundParams) -> float:
-    """The eta that minimizes :func:`regret_bound_general`."""
-    if params.diameter == 0:
-        raise ValueError("degenerate diameter: bound decreases in eta without bound")
-    return params.p * math.sqrt(
-        params.r_hat * params.a_hat * params.t_rounds / params.diameter
-    )
-
-
-def minimized_regret_bound(params: BoundParams) -> float:
-    """Value of the generic bound at the minimizing eta."""
-    return 2.0 * math.sqrt(
-        params.r_hat * params.a_hat * params.diameter * params.t_rounds
-    )

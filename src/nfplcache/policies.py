@@ -15,9 +15,7 @@ counted request. The three noise couplings share that skeleton:
   count a floor or more, so a file with
   ``count + eta < floor`` ranks below them whatever its noise. Only files
   up to the last such candidate draw their noise; the stream skips the
-  rest, and ``gamma`` replays the full draw when it is read. The cache is
-  a boolean mask of N entries, set and cleared at each refresh; the set
-  ``cache`` is built from the top C only when it is read.
+  rest, and ``gamma`` replays the full draw when it is read.
 * ``lazy``    - gamma is the unique value in [0, eta) that keeps
   ``counts + gamma`` on the grid ``gamma0 + eta * Z``; the perturbed
   count of a file moves only when its count crosses a grid line, so
@@ -25,7 +23,9 @@ counted request. The three noise couplings share that skeleton:
   ``gamma`` reads as ``scores - counts``, which at every batch boundary
   is that value.
 
-Every argmax breaks ties toward the lower file id.
+Every argmax breaks ties toward the lower file id. In every mode the cache
+is kept once, as a bool mask of N entries that a swap or a refresh moves;
+the set ``cache`` is built from the mask at the first read after it moves.
 
 The counted path makes no call when nothing can move. Static noise raises a
 score in place through :class:`~nfplcache.topk.TopCTracker`'s increase-key
@@ -37,18 +37,18 @@ it can evict: those whose count already exceeds the C-th largest count at
 the block's end, which one ``bincount`` gives. Each request for them is a
 hit, so LFU's loop runs over the other requests only.
 
-Static and lazy noise add a block's counts with one ``bincount`` and keep
-the cache also as a bool mask of N entries. The cache changes only at a
-swap, which is rare and reaches the cache where its batch ends, so the
-requests between two swaps are scored as the number of true entries of the
-mask at their ids. Static noise loops in Python over the counted requests
-only. Lazy noise is driven by grid crossings instead: each file keeps the
-count at which its score next rises, and Python runs only for the files
-whose count reaches it; a stable radix sort of their ids locates their
-crossings, and each batch's rises go through the heap where it ends.
-Dynamic noise changes its cache only at the end of a batch that counted a
-request, so it scores the requests in between on its cache mask in the same
-way, and their counted ids wait as a slice of the block's for the refresh.
+Static and lazy noise add a block's counts with one ``bincount``. The cache
+changes only at a swap, which is rare and reaches the cache where its batch
+ends, so the requests between two swaps are scored as the number of true
+entries of the mask at their ids. Static noise loops in Python over the
+counted requests only. Lazy noise is driven by grid crossings instead: each
+file keeps the count at which its score next rises, and Python runs only
+for the files whose count reaches it; a stable radix sort of their ids
+locates their crossings, and each batch's rises go through the heap where
+it ends. Dynamic noise changes its cache only at the end of a batch that
+counted a request, so it scores the requests in between on its cache mask
+in the same way. It adds their counted ids to the counts as it reaches
+them, and keeps them, as slices of the block's, for the refresh.
 
 Each policy's one simulation loop is ``run_block(t0, requests, observed)``,
 which feeds a block of requests and returns its misses; where the blocks
@@ -102,7 +102,6 @@ class PolicyStep(NamedTuple):
     request: int
     observed: bool
     hit: bool
-    cache_after: object  # live view of the cache; copy before mutating anything
 
 
 def _in_reach(counts, ids, floor, eta):
@@ -162,7 +161,7 @@ class _BlockPolicy:
         requests[0] = request
         bits[0] = observed
         misses = self.run_block(t - 1, requests, bits)
-        return PolicyStep(request, observed, misses == 0, self.cache)
+        return PolicyStep(request, observed, misses == 0)
 
 
 class NfplPolicy(_BlockPolicy):
@@ -211,6 +210,7 @@ class NfplPolicy(_BlockPolicy):
             if not np.all((gamma0 >= 0.0) & (gamma0 < self.eta)):
                 raise ValueError("gamma0 entries must lie in [0, eta)")
         self.gamma0 = gamma0
+        self._gamma = gamma0  # dynamic noise rebinds it to each draw (None after a prefix draw)
 
         # Sampling bits live on their own substream, created on first use
         # (q = 1 never reads it) and drawn block by block (or per batch in
@@ -220,20 +220,20 @@ class NfplPolicy(_BlockPolicy):
         self._drawn_batch = -1
 
         self._t = 0
+        # the cache as a bool mask of N entries, its one record; the set
+        # ``cache`` is built from it when read
+        self._in_cache = np.zeros(n, dtype=bool)
+        self._cache = None
 
         if self._mode == "dynamic":
             self.tracker = None
-            self._gamma = gamma0  # the last draw; None until read if only a prefix was drawn
-            # Counts live in a float64 array (exact below 2**53, and no
-            # int-to-float cast in the refresh's sums), brought up to date
-            # from the counted ids at each refresh.
-            self._counts_np = np.zeros(n)
-            self._unsynced: list[np.ndarray] = []  # arrays of counted ids not yet in _counts_np
+            # Counts live in a float64 array: exact below 2**53, and no
+            # int-to-float cast in the refresh's sums.
+            self._counts = np.zeros(n)
+            self._unsynced: list[np.ndarray] = []  # arrays of ids counted since the last refresh
             self._perturbed = np.empty(n)  # counts + noise, at a refresh that ranks all files
             self._top = top_c_indices(gamma0, config.cache_capacity)
-            self._in_cache = np.zeros(n, dtype=bool)
             self._in_cache[self._top] = True
-            self._cache = None  # the set of _top, built when read
             # the refresh's filter (see _in_reach): a floor that at least C
             # files' counts reach
             self._floor = 0
@@ -246,16 +246,11 @@ class NfplPolicy(_BlockPolicy):
             self._noise_origin = None
             self._noise_drawn = 0
         else:
-            # The noise is a plain list for the kernels; the ``gamma``
-            # property gives a numpy copy. Lazy mode reads it as its grid.
-            self._gamma = gamma0.tolist()
-            self.tracker = TopCTracker(self._gamma, config.cache_capacity)
-            self._cache = self.tracker.members()
-            # the kernels' counts, the cache also as a bool mask, and whether
-            # the batch open at the end of the last block counted a request
-            self._counts = np.zeros(n, dtype=np.int64)
-            self._in_cache = np.zeros(n, dtype=bool)
+            self.tracker = TopCTracker(gamma0, config.cache_capacity)
             self._in_cache[self.tracker.heap] = True
+            # the kernels' counts, and whether the batch open at the end of
+            # the last block counted a request
+            self._counts = np.zeros(n, dtype=np.int64)
             self._flag = False
             if self._mode == "lazy":
                 # the count at which each file's score next rises: the
@@ -272,23 +267,17 @@ class NfplPolicy(_BlockPolicy):
 
     @property
     def cache(self) -> set[int]:
-        """The cached file ids. Static and lazy noise keep this set up to
-        date; dynamic noise builds it from its top C at the first read after
-        a refresh."""
+        """The cached file ids, built from the cache mask at the first read
+        after the mask moves. A set once read is never changed: a later
+        swap or refresh shows in the next read's set."""
         if self._cache is None:
-            self._cache = set(self._top.tolist())
+            self._cache = set(self._in_cache.nonzero()[0].tolist())
         return self._cache
 
     @property
     def counts(self) -> np.ndarray:
-        """A copy of the counts, as int64: static and lazy noise keep them
-        up to date; dynamic noise adds the ids that wait for its refresh."""
-        if self._mode == "dynamic":
-            counts = self._counts_np.astype(np.int64)
-            for ids in self._unsynced:
-                np.add.at(counts, ids, 1)
-            return counts
-        return self._counts.copy()
+        """A copy of the counts, as int64."""
+        return self._counts.astype(np.int64)
 
     @property
     def gamma(self) -> np.ndarray:
@@ -359,11 +348,10 @@ class NfplPolicy(_BlockPolicy):
         n = self.n_files
         eta = self.eta
         capacity = self.config.cache_capacity
-        counts = self._counts_np
+        counts = self._counts
         least = np.minimum.reduce  # ndarray.min without its Python wrapper
         unsynced = self._unsynced
         ids = unsynced[0] if len(unsynced) == 1 else np.concatenate(unsynced)
-        np.add.at(counts, ids, 1.0)
         unsynced.clear()
         candidates = self._candidates
         if candidates is None:
@@ -410,7 +398,7 @@ class NfplPolicy(_BlockPolicy):
 
     def _admit(self, top: np.ndarray) -> None:
         """Make the ids ``top`` the dynamic-noise cache: move the mask and
-        drop the stored set."""
+        drop the set built from it."""
         in_cache = self._in_cache
         in_cache[self._top] = False
         in_cache[top] = True
@@ -435,15 +423,17 @@ class NfplPolicy(_BlockPolicy):
         the end of the batch holding the next counted request (or to the
         first boundary, when counted ids wait from the last block). A chunk
         is scored on the cache mask; its counted ids, a slice of the block's
-        counted ids, wait in ``_unsynced`` for the refresh. A bool array's
+        counted ids, are added to the counts and wait in ``_unsynced`` for
+        the refresh, which joins them to its candidates. A bool array's
         bytes are 0 or 1, so the next counted request is found with
         ``bytes.find``, and a chunk's hits and counted requests are counted
         with ``bytes.count``, which returns a Python int."""
         unsynced = self._unsynced
+        counts = self._counts
         batch = self._batch
         in_cache = self._in_cache  # updated in place by each refresh
         bits = counted.tobytes()
-        ids = requests[counted]
+        ids = requests.compress(counted)
         n = len(requests)
         hits = refreshes = j = lo = 0
         while lo < n:
@@ -454,7 +444,9 @@ class NfplPolicy(_BlockPolicy):
             hits += in_cache[requests[lo:hi]].tobytes().count(1)
             m = j + bits.count(1, lo, hi)
             if m > j:
-                unsynced.append(ids[j:m])
+                chunk = ids[j:m]
+                np.add.at(counts, chunk, 1.0)
+                unsynced.append(chunk)
                 j = m
             if hi > n:
                 break
@@ -534,9 +526,8 @@ class NfplPolicy(_BlockPolicy):
         ``(t, evicted, admitted)`` of the list, in order of t, reaches the
         cache right after request t and leaves the list. The requests
         between two swaps are scored with ``bytes.count`` on the cache mask
-        at their ids; then the swap moves the mask and the set."""
+        at their ids; then the swap moves the mask."""
         in_cache = self._in_cache
-        cache = self._cache
         n = len(requests)
         misses = lo = done = 0
         for t, evicted, admitted in swaps:
@@ -546,11 +537,11 @@ class NfplPolicy(_BlockPolicy):
             misses += hi - lo - in_cache[requests[lo:hi]].tobytes().count(1)
             in_cache[evicted] = False
             in_cache[admitted] = True
-            cache.remove(evicted)
-            cache.add(admitted)
             lo = hi
             done += 1
-        del swaps[:done]
+        if done:
+            del swaps[:done]
+            self._cache = None
         return misses + n - lo - in_cache[requests[lo:]].tobytes().count(1)
 
     def _in_set_order(self, rises: list, dirty: set, ids, where) -> list:
@@ -584,7 +575,7 @@ class NfplPolicy(_BlockPolicy):
         j + 1. A batch that ends past the block leaves the file hot, with
         its ``_next``. The rises go through the tracker's ``bump`` in batch
         order (see :meth:`_in_set_order`); a swap reaches the cache there."""
-        ids = requests[counted]
+        ids = requests.compress(counted)
         counts = self._counts
         added = np.bincount(ids, minlength=self.n_files)
         counts += added
@@ -615,17 +606,16 @@ class NfplPolicy(_BlockPolicy):
         # least dtype that holds them sort by radix sort
         at = where[reach[ids]]
         at = at[requests[at].astype(self._id_dtype).argsort(kind="stable")]
-        grid = self._gamma  # gamma0, never rewritten
         eta = self.eta
         ceil = math.ceil
         floor = math.floor
         rises = []  # (block position of its batch's last request, file, new score)
         nexts = []
         lo = 0
-        for f, size, k1, k in zip(
-            hot.tolist(), added[hot].tolist(), counts[hot].tolist(), self._next[hot].tolist()
+        for f, g0, size, k1, k in zip(
+            hot.tolist(), self.gamma0[hot].tolist(), added[hot].tolist(),
+            counts[hot].tolist(), self._next[hot].tolist(),
         ):
-            g0 = grid[f]
             # f's count reaches k1 - size + i at its i-th request of the
             # block, at[lo + i - 1]; so count k is reached at at[shift + k].
             # Only the positions that locate a batch become Python ints.

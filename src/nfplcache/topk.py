@@ -11,12 +11,11 @@ nothing can move (see :class:`TopCTracker`).
 
 :func:`top_c_indices` is the one-shot counterpart for a score vector
 ranked once: the candidates of a dynamic-noise refresh, whose noise is
-redrawn wholesale, and the request counts of the static optimum.
+redrawn wholesale, the request counts of the static optimum, and the
+scores a tracker is built from.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -46,7 +45,11 @@ class TopCTracker:
     """Top-C view over a dense score table with increase-only updates.
 
     Ties are broken toward the lower file id everywhere: the members are
-    exactly the first C files under (score desc, id asc) ordering.
+    exactly the first C files under (score desc, id asc) ordering. The
+    tracker copies the scores it is built from. It finds the members with
+    :func:`top_c_indices`, lists them in that order and heapifies the list
+    by sifting down from the last inner node, so ``heap`` and ``op_counter``
+    depend only on the scores. The member set is ``set(heap)``.
 
     ``heap`` (member ids in heap order, weakest at index 0), ``pos`` (each
     file's index in ``heap``, -1 for a non-member) and ``scores`` are
@@ -77,18 +80,16 @@ class TopCTracker:
             raise ValueError("capacity must be positive")
         if capacity > n:
             raise ValueError(f"capacity {capacity} exceeds file count {n}")
-        self.scores = [float(s) for s in scores]
+        values = np.asarray(scores, dtype=float)
+        self.scores = scores = values.tolist()
         self.op_counter = 0
-        members = heapq.nsmallest(capacity, range(n), key=lambda f: (-self.scores[f], f))
+        members = sorted(top_c_indices(values, capacity).tolist(), key=lambda f: (-scores[f], f))
         self.heap = members
         self.pos = [-1] * n
         for i, f in enumerate(members):
             self.pos[f] = i
         for i in range(capacity // 2 - 1, -1, -1):
             self.sift_down(i)
-
-    def members(self) -> set[int]:
-        return set(self.heap)
 
     def sift_down(self, i: int) -> None:
         """Move ``heap[i]`` down past every child weaker than it under

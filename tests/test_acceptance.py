@@ -160,7 +160,7 @@ def _tracker_mismatches(n: int) -> int:
             for f, g in zip(files, grow):
                 scores[f] += g
                 tracker.bump(f, scores[f])
-            if tracker.members() != top_c_reference(scores, c):
+            if set(tracker.heap) != top_c_reference(scores, c):
                 bad += 1
     return bad
 

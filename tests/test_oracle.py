@@ -6,8 +6,6 @@ import pytest
 from nfplcache.core import Catalog, PolicyConfig, Trace
 from nfplcache.oracle import (
     BoundParams,
-    minimized_regret_bound,
-    minimizing_eta,
     opt_static,
     regret_bound_caching,
     regret_bound_general,
@@ -111,26 +109,6 @@ def test_bound_of_a_config_reads_q_as_the_sampled_share(sampling, q):
     assert regret_bound_of(config, 5000) == regret_bound_caching(10, 4, 5000, 0.5, q)
 
 
-def test_general_bound_reproduces_caching_leading_term():
-    b, c, t, p, q = 4, 3, 1600, 0.5, 0.5
-    params = BoundParams(
-        r_hat=b / (p * q),
-        a_hat=b / (p * q),
-        diameter=2 * c,
-        t_rounds=t // b,
-        eta=1.0,
-        p=p,
-    )
-    eta_star = minimizing_eta(params)
-    at_star = regret_bound_general(
-        BoundParams(params.r_hat, params.a_hat, params.diameter,
-                    params.t_rounds, eta_star, p)
-    )
-    assert at_star == pytest.approx(minimized_regret_bound(params))
-    lead = 2 * (2 * b * c) ** 0.5 / (p * q) * t**0.5
-    assert at_star == pytest.approx(lead)
-
-
 @pytest.mark.parametrize("b, c, t, p, q", [
     (1, 100, 200_000, 1.0, 1.0),
     (10, 10, 10_000, 0.5, 0.5),
@@ -153,8 +131,6 @@ def test_general_bound_with_caching_constants_is_the_caching_bound(b, c, t, p, q
 def test_general_bound_degenerate_diameter():
     params = BoundParams(r_hat=2.0, a_hat=3.0, diameter=0.0, t_rounds=10, eta=1.5, p=1.0)
     assert regret_bound_general(params) == pytest.approx(2.0 * 3.0 * 10 / 1.5)
-    with pytest.raises(ValueError):
-        minimizing_eta(params)
 
 
 def test_general_bound_first_term_is_linear_in_r():

@@ -107,6 +107,28 @@ def test_batch_gating_updates_only_at_boundaries():
     assert pol.cache_refreshes == 1
 
 
+def test_cache_read_is_a_snapshot_across_a_waiting_swap():
+    # file 1 beats file 0 at t=1, but its swap waits for the batch to end
+    # at t=2, in the next block; the set read before that block keeps file 0
+    pol = nfpl(3, 1, 4, b=2, gamma0=[0.5, 0.0, 0.0])
+    assert pol.run_block(0, np.array([1]), np.ones(1, dtype=bool)) == 1
+    assert len(pol._waiting) == 1 and pol.tracker.heap == [1]
+    before = pol.cache
+    assert before == {0}
+    assert pol.run_block(1, np.array([2, 1]), np.ones(2, dtype=bool)) == 1
+    assert before == {0}
+    assert pol.cache == {1}
+
+
+def test_cache_read_is_a_snapshot_across_a_dynamic_refresh():
+    pol = nfpl(3, 1, 4, name="d-nfpl", eta=0.5, gamma0=[0.4, 0.0, 0.0])
+    before = pol.cache
+    assert before == {0}
+    assert pol.run_block(0, np.array([2, 2]), np.ones(2, dtype=bool)) == 1
+    assert before == {0}
+    assert pol.cache == {2}  # two counts outweigh any noise below 0.5
+
+
 def test_out_of_order_steps_rejected():
     pol = nfpl(3, 1, 10)
     pol.step(1, 0, True)
@@ -232,8 +254,8 @@ def test_cache_cardinality_invariant_all_policies():
     for name in ("s-nfpl", "d-nfpl", "l-nfpl", "fpl", "lfu", "lru"):
         pol = make_policy(name, cfg, Catalog(n), t, spawn_stream(8, 1))
         for i, f in enumerate(trace.requests.tolist()):
-            step = pol.step(i + 1, f, mask[i])
-            assert len(step.cache_after) == c
+            pol.step(i + 1, f, mask[i])
+            assert len(pol.cache) == c
 
 
 # ----------------------------------------------------------------- noise modes

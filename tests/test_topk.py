@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -11,12 +12,12 @@ from nfplcache.topk import TopCTracker, top_c_indices
 
 def test_build_plain_top2():
     tracker = TopCTracker([5, 1, 9, 7], 2)
-    assert tracker.members() == {2, 3}
+    assert set(tracker.heap) == {2, 3}
 
 
 def test_build_breaks_ties_by_lower_id():
     tracker = TopCTracker([1, 1, 1], 2)
-    assert tracker.members() == {0, 1}
+    assert set(tracker.heap) == {0, 1}
 
 
 def test_build_matches_full_sort_oracle():
@@ -24,7 +25,7 @@ def test_build_matches_full_sort_oracle():
     for _ in range(20):
         scores = rng.integers(0, 10, size=50).astype(float).tolist()
         tracker = TopCTracker(scores, 7)
-        assert tracker.members() == top_c_reference(scores, 7)
+        assert set(tracker.heap) == top_c_reference(scores, 7)
 
 
 def test_build_rejects_capacity_beyond_catalog():
@@ -36,31 +37,31 @@ def test_build_rejects_capacity_beyond_catalog():
 
 def test_bump_displaces_weakest_member():
     tracker = TopCTracker([9, 7, 0], 2)
-    assert tracker.members() == {0, 1}
+    assert set(tracker.heap) == {0, 1}
     evicted, admitted = tracker.bump(2, 8.0)
     assert (evicted, admitted) == (1, 2)
-    assert tracker.members() == {0, 2}
+    assert set(tracker.heap) == {0, 2}
 
 
 def test_bump_equal_score_kept_by_id_rule():
     # candidate id above the weakest member's id: tie keeps the member
     tracker = TopCTracker([9, 7, 0], 2)
     assert tracker.bump(2, 7.0) == (None, None)
-    assert tracker.members() == {0, 1}
+    assert set(tracker.heap) == {0, 1}
 
 
 def test_bump_equal_score_lower_id_wins():
     tracker = TopCTracker([5, 9, 7], 2)
-    assert tracker.members() == {1, 2}
+    assert set(tracker.heap) == {1, 2}
     evicted, admitted = tracker.bump(0, 7.0)
     assert (evicted, admitted) == (2, 0)
-    assert tracker.members() == {0, 1}
+    assert set(tracker.heap) == {0, 1}
 
 
 def test_bump_member_increase_keeps_membership():
     tracker = TopCTracker([9, 7, 0], 2)
     assert tracker.bump(1, 20.0) == (None, None)
-    assert tracker.members() == {0, 1}
+    assert set(tracker.heap) == {0, 1}
     assert tracker.heap[0] == 0
 
 
@@ -85,7 +86,7 @@ def test_random_bumps_track_full_sort_oracle_stepwise():
     for f, g in zip(files.tolist(), grows.tolist()):
         scores[f] += g
         tracker.bump(f, scores[f])
-        assert tracker.members() == top_c_reference(scores, c)
+        assert set(tracker.heap) == top_c_reference(scores, c)
 
 
 def test_op_counter_monotone_and_amortized_bound():
@@ -107,9 +108,9 @@ def test_op_counter_monotone_and_amortized_bound():
 
 def test_full_capacity_tracker_has_no_outsiders():
     tracker = TopCTracker([3.0, 1.0, 2.0], 3)
-    assert tracker.members() == {0, 1, 2}
+    assert set(tracker.heap) == {0, 1, 2}
     tracker.bump(1, 9.0)
-    assert tracker.members() == {0, 1, 2}
+    assert set(tracker.heap) == {0, 1, 2}
 
 
 @settings(max_examples=300, deadline=None)
@@ -125,7 +126,7 @@ def test_bump_sequences_track_top_c_reference(data):
     for f, inc in bumps:
         scores[f] += inc
         tracker.bump(f, scores[f])
-        members = tracker.members()
+        members = set(tracker.heap)
         assert members == top_c_reference(scores, c)
         assert tracker.heap[0] == min(members, key=lambda g: (scores[g], -g))
 
@@ -137,3 +138,45 @@ def test_top_c_indices_matches_stable_argsort_on_ties(values, data):
     arr = np.array(values, dtype=float)  # five distinct values: ties everywhere
     want = np.argsort(-arr, kind="stable")[:c]
     assert set(top_c_indices(arr, c).tolist()) == set(want.tolist())
+
+
+def reference_build(scores, c):
+    """The tracker's construction order, kept independently: the members by
+    ``heapq.nsmallest`` under (score desc, id asc), then a sift-down heapify
+    under (score asc, id desc) from the last inner node, one op per level."""
+    heap = heapq.nsmallest(c, range(len(scores)), key=lambda f: (-scores[f], f))
+
+    def weaker(a, b):
+        return scores[a] < scores[b] or (scores[a] == scores[b] and a > b)
+
+    ops = 0
+    for top in range(c // 2 - 1, -1, -1):
+        i, f = top, heap[top]
+        while 2 * i + 1 < c:
+            child = 2 * i + 1
+            if child + 1 < c and weaker(heap[child + 1], heap[child]):
+                child += 1
+            if not weaker(heap[child], f):
+                break
+            heap[i] = heap[child]
+            i = child
+            ops += 1
+        heap[i] = f
+    pos = [-1] * len(scores)
+    for i, f in enumerate(heap):
+        pos[f] = i
+    return heap, pos, ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=1, max_size=40),
+       data=st.data())
+def test_build_order_matches_nsmallest_and_heapify(scores, data):
+    # four distinct values make ties common; heap_ops and the heap layout of
+    # every later bump follow from the order the tracker is built in
+    c = data.draw(st.integers(1, len(scores)))
+    tracker = TopCTracker(scores, c)
+    heap, pos, ops = reference_build(scores, c)
+    assert tracker.heap == heap
+    assert tracker.pos == pos
+    assert tracker.op_counter == ops
