@@ -204,6 +204,8 @@ def _setup(args, parser) -> tuple:
         n_files, horizon = trace_spec.n_files, trace_spec.length
     else:
         n_files, horizon = trace.catalog.n_files, len(trace)
+    if args.c >= n_files:
+        parser.error(f"--c must be smaller than the catalog ({n_files} files), got {args.c}")
     try:
         config = PolicyConfig(
             cache_capacity=args.c, batch_size=args.b, observe_prob=args.p,

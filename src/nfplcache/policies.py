@@ -27,11 +27,15 @@ Every argmax breaks ties toward the lower file id. In every mode the cache
 is kept once, as a bool mask of N entries that a swap or a refresh moves;
 the set ``cache`` is built from the mask at the first read after it moves.
 
-The counted path makes no call when nothing can move. Static noise raises a
-score in place through :class:`~nfplcache.topk.TopCTracker`'s increase-key
-protocol; the tracker is called only to sift a member at an inner heap node
-or to swap in a non-member that beats the weakest member. An LFU hit only
-raises a count: its heap keys may lag, and a miss brings the root up to date.
+The counted path makes no call when nothing moves. Static and lazy noise
+raise a score in place through :class:`~nfplcache.topk.TopCTracker`'s
+increase-key protocol: a member at a leaf only takes its new score, a member
+at an inner node is compared with its children, and the tracker is called
+only to sift a member past a child that is now weaker, or to swap in a
+non-member that beats the weakest member. Each member raise is one heap op,
+tallied once per block as the raises less those of non-members. An LFU hit
+only raises a count: its heap keys may lag, and a miss brings the root up to
+date.
 A block of at least N requests first settles the LFU members that no miss in
 it can evict: those whose count already exceeds the C-th largest count at
 the block's end, which one ``bincount`` gives. Each request for them is a
@@ -471,21 +475,32 @@ class NfplPolicy(_BlockPolicy):
         tracker = self.tracker
         bump, sift_down = tracker.bump, tracker.sift_down
         scores, heap, pos = tracker.scores, tracker.heap, tracker.pos
-        inner = len(heap) // 2  # heap[i] is a leaf from here on
+        size = len(heap)
+        inner = size // 2  # heap[i] is a leaf from here on
         waiting = self._waiting
-        ops = 0
+        outside = 0  # raises of non-members
 
         for j, f in enumerate(ids.tolist()):
             # the tracker's increase-key protocol: a call only when the heap
-            # can move
+            # moves
             s = scores[f] + 1.0
             i = pos[f]
-            if i >= 0:
+            if i >= inner:  # a leaf member
                 scores[f] = s
-                ops += 1
-                if i < inner:
+            elif i >= 0:
+                scores[f] = s
+                k = 2 * i + 1
+                c = heap[k]
+                sc = scores[c]
+                if sc < s or (sc == s and c > f):
                     sift_down(i)
+                elif k + 1 < size:
+                    c = heap[k + 1]
+                    sc = scores[c]
+                    if sc < s or (sc == s and c > f):
+                        sift_down(i)
             else:
+                outside += 1
                 root = heap[0]
                 rs = scores[root]
                 if s < rs or (s == rs and f > root):
@@ -495,7 +510,7 @@ class NfplPolicy(_BlockPolicy):
                     p = at.item(j)
                     waiting.append((((t0 + p) // batch + 1) * batch, bump(f, s)[0], f))
 
-        tracker.op_counter += ops
+        tracker.op_counter += len(ids) - outside  # one per member raise
         self.sampled_steps += len(ids)
         self.score_changes += len(ids)
         self._tally_refreshes(t0, len(requests), at)
@@ -573,8 +588,9 @@ class NfplPolicy(_BlockPolicy):
         of their ids groups each file's requests in request order, and the
         j-th of them brings its count to its count before the block plus
         j + 1. A batch that ends past the block leaves the file hot, with
-        its ``_next``. The rises go through the tracker's ``bump`` in batch
-        order (see :meth:`_in_set_order`); a swap reaches the cache there."""
+        its ``_next``. The rises go through the tracker's increase-key
+        protocol in batch order (see :meth:`_in_set_order`), calling ``bump``
+        only for a swap, which reaches the cache there."""
         ids = requests.compress(counted)
         counts = self._counts
         added = np.bincount(ids, minlength=self.n_files)
@@ -655,12 +671,39 @@ class NfplPolicy(_BlockPolicy):
 
         if batch > 1:
             rises = self._in_set_order(rises, dirty, ids, where)
-        bump = self.tracker.bump
+        tracker = self.tracker
+        bump, sift_down = tracker.bump, tracker.sift_down
+        scores, heap, pos = tracker.scores, tracker.heap, tracker.pos
+        size = len(heap)
+        inner = size // 2
+        outside = 0
         swaps = []
         for last, f, s in rises:
-            evicted = bump(f, s)[0]
-            if evicted is not None:
-                swaps.append((t0 + last + 1, evicted, f))
+            # the increase-key protocol of _run_static; each rise is strict
+            i = pos[f]
+            if i >= inner:
+                scores[f] = s
+            elif i >= 0:
+                scores[f] = s
+                k = 2 * i + 1
+                c = heap[k]
+                sc = scores[c]
+                if sc < s or (sc == s and c > f):
+                    sift_down(i)
+                elif k + 1 < size:
+                    c = heap[k + 1]
+                    sc = scores[c]
+                    if sc < s or (sc == s and c > f):
+                        sift_down(i)
+            else:
+                outside += 1
+                root = heap[0]
+                rs = scores[root]
+                if s < rs or (s == rs and f > root):
+                    scores[f] = s
+                else:
+                    swaps.append((t0 + last + 1, bump(f, s)[0], f))
+        tracker.op_counter += len(rises) - outside
         return self._score_between_swaps(t0, requests, swaps)
 
     _KERNELS = {"dynamic": _run_batches, "static": _run_static, "lazy": _run_lazy}

@@ -6,8 +6,8 @@ that would be displaced first. Scores only ever increase in this system,
 which reduces every update to an increase-key or a replace-root, both
 O(log C). ``op_counter`` tallies heap work (one per swap, plus one per
 insert/delete event) so callers can measure amortized cost. Hot loops
-raise scores through the tracker's public views without a call when
-nothing can move (see :class:`TopCTracker`).
+raise scores through the tracker's public views and call it only when the
+heap moves (see :class:`TopCTracker`).
 
 :func:`top_c_indices` is the one-shot counterpart for a score vector
 ranked once: the candidates of a dynamic-noise refresh, whose noise is
@@ -54,13 +54,16 @@ class TopCTracker:
     ``heap`` (member ids in heap order, weakest at index 0), ``pos`` (each
     file's index in ``heap``, -1 for a non-member) and ``scores`` are
     public views. A caller may raise file ``f``'s score to ``s`` without
-    calling :meth:`bump` by following the increase-key protocol, which is
-    what :meth:`bump` itself does for a valid id and ``s > scores[f]``:
+    calling :meth:`bump` by following the increase-key protocol, which
+    leaves ``heap``, ``pos``, ``scores`` and ``op_counter`` as :meth:`bump`
+    does for a valid id and ``s > scores[f]``:
 
-    * member (``i = pos[f] >= 0``): set ``scores[f] = s``, add 1 to
-      ``op_counter`` (a loop may sum these and add them once) and call
-      ``sift_down(i)``; that call may be skipped when ``i >= len(heap) // 2``,
-      because a leaf cannot move;
+    * member (``i = pos[f] >= 0``): set ``scores[f] = s`` and add 1 to
+      ``op_counter`` (a loop may sum these and add them once). Call
+      ``sift_down(i)`` only when a child of ``i`` is weaker than ``f`` at
+      its new score, that is ``scores[c] < s`` or ``scores[c] == s`` and
+      ``c > f``. A leaf (``i >= len(heap) // 2``) has no child, and a
+      ``sift_down`` past no weaker child moves nothing and adds nothing;
     * non-member that does not beat the root ``r = heap[0]``, that is
       ``s < scores[r]`` or ``s == scores[r]`` and ``f > r``: set
       ``scores[f] = s``; membership cannot change;

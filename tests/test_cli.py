@@ -132,11 +132,26 @@ def test_regret_bound_under_fixed_sampling_holds(tmp_path):
     assert payload["experiment"]["fixed_per_batch"] == 1
 
 
-def test_capacity_at_catalog_size_is_runtime_error(tmp_path, capsys):
-    code = run_cli(["run", "--gen-kind", "zipf", "--n", "20", "--t", "100",
-                    "--policies", "lfu", "--c", "20", "--out", str(tmp_path)])
-    assert code == 3
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("source", ["gen", "trace"])
+@pytest.mark.parametrize("c", [20, 21])
+def test_capacity_at_or_above_catalog_size_is_usage_error(tmp_path, capsys, command,
+                                                          source, c):
+    # the static optimum caches C files of N, so it needs C < N
+    if source == "gen":
+        flags = ["--gen-kind", "zipf", "--n", "20", "--t", "100"]
+    else:
+        trace_path = tmp_path / "t.txt"
+        run_cli(["gen", "--kind", "round-robin", "--n", "20", "--t", "100",
+                 "--out", str(trace_path)])
+        flags = ["--trace", str(trace_path)]
+    rates = ["--rates", "0.5"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, *flags, "--policies", "s-nfpl", "--c", str(c), *rates,
+                 "--out", str(tmp_path / "res")])
+    assert exc.value.code == 2
     assert "catalog" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
 
 
 def test_run_writes_series_summary_and_json(tmp_path):

@@ -323,6 +323,24 @@ def test_noise_on_a_half_integer_lattice(name, scenario, seed, data):
     check_blocks_against_reference(name, scenario, seed, gamma0=gamma0)
 
 
+@pytest.mark.parametrize("batch", (1, 7))
+@pytest.mark.parametrize("name", ("s-nfpl", "fpl", "l-nfpl"))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenario=scenarios(), seed=st.integers(0, 10**6), data=st.data())
+def test_tie_heavy_noise_at_unit_and_wide_batches(name, batch, scenario, seed, data):
+    # gamma0 all zero, or drawn from {0, 0.5}, makes a raised member tie its
+    # heap children often, with lower and with higher ids: the kernels skip
+    # sift_down only when no child is weaker under (score asc, id desc)
+    n, config, requests, observed, bounds = scenario
+    eta = data.draw(st.sampled_from((0.5, 1.0, 2.0)))
+    offsets = (0.0, 0.5) if eta > 0.5 and data.draw(st.booleans()) else (0.0,)
+    gamma0 = data.draw(st.lists(st.sampled_from(offsets), min_size=n, max_size=n))
+    b = config.fixed_per_batch
+    config = replace(config, eta=eta, batch_size=batch, fixed_per_batch=b and min(b, batch))
+    scenario = (n, config, requests, observed, bounds)
+    check_blocks_against_reference(name, scenario, seed, gamma0=gamma0)
+
+
 @st.composite
 def unbatched_lazy_scenarios(draw):
     """l-nfpl at B = 1 cut into one-request blocks and blocks of hundreds,

@@ -180,3 +180,52 @@ def test_build_order_matches_nsmallest_and_heapify(scores, data):
     assert tracker.heap == heap
     assert tracker.pos == pos
     assert tracker.op_counter == ops
+
+
+def raise_by_protocol(tracker, f, s):
+    """Raise file ``f`` to ``s > scores[f]`` by the increase-key protocol of
+    the tracker's docstring, as the static and lazy kernels do: the tracker
+    is called only when the heap moves. Returns the op the caller owes for
+    a member raise (1), or 0."""
+    scores, heap, pos = tracker.scores, tracker.heap, tracker.pos
+    size = len(heap)
+    i = pos[f]
+    if i >= size // 2:  # a leaf member
+        scores[f] = s
+        return 1
+    if i >= 0:
+        scores[f] = s
+        for k in (2 * i + 1, 2 * i + 2):
+            if k < size and (scores[heap[k]] < s or (scores[heap[k]] == s and heap[k] > f)):
+                tracker.sift_down(i)
+                break
+        return 1
+    root = heap[0]
+    if s < scores[root] or (s == scores[root] and f > root):
+        scores[f] = s
+    else:
+        tracker.bump(f, s)
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_increase_key_protocol_matches_bump(data):
+    # three distinct start scores and raises of 1.0 or 0.5 make a raised
+    # member tie its children often, with lower and with higher ids
+    n = data.draw(st.integers(1, 20))
+    c = data.draw(st.integers(1, n))
+    scores = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n))
+    by_protocol, by_bump = TopCTracker(scores, c), TopCTracker(scores, c)
+    raises = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([0.5, 1.0])),
+                                max_size=80))
+    owed = 0
+    for f, inc in raises:
+        s = by_bump.scores[f] + inc
+        by_bump.bump(f, s)
+        owed += raise_by_protocol(by_protocol, f, s)
+        assert by_protocol.heap == by_bump.heap
+        assert by_protocol.pos == by_bump.pos
+        assert by_protocol.scores == by_bump.scores
+    by_protocol.op_counter += owed  # tallied once, as the kernels do per block
+    assert by_protocol.op_counter == by_bump.op_counter
