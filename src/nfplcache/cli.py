@@ -89,7 +89,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="redraw the synthetic trace for every seed")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="nfplcache",
         description="Trace-driven cache simulation under Bernoulli partial observation.",
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--mode", choices=("var", "fix", "both"), default="var",
                        help="per-request Bernoulli sampling, per-batch fixed, or both")
     sweep.set_defaults(q=1.0, fixed_b=None)  # its rates set the sampling
-    return parser
+    return parser, sub.choices
 
 
 def _resolve_parallelism(requested: int, parser) -> int:
@@ -403,14 +404,16 @@ def cmd_sweep(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
+    # a usage error after parsing prints the subcommand's usage line
+    command = commands[args.command]
     try:
         if args.command == "gen":
-            return cmd_gen(args, parser)
+            return cmd_gen(args, command)
         if args.command == "run":
-            return cmd_run(args, parser)
-        return cmd_sweep(args, parser)
+            return cmd_run(args, command)
+        return cmd_sweep(args, command)
     except (RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

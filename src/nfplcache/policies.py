@@ -59,11 +59,11 @@ which feeds a block of requests and returns its misses; where the blocks
 end, and so where miss ratios are read, is up to the caller. A block is a
 pair of numpy arrays, the file ids (int) and the observation bits (bool),
 which may be views of the caller's arrays; they are neither written nor
-kept once the block returns. The per-request loops of LFU and LRU turn them
-into lists when they start (LFU only the requests its screen leaves); the
-NFPL kernels read them as arrays. ``step`` is a one-request block that
-returns a :class:`PolicyStep`. Whatever the policy, ``cache`` holds Python
-ints.
+kept once the block returns. The per-request loops of LFU and LRU read the
+ids as a list and the bits as bytes, each 0 or 1 (LFU only the requests its
+screen leaves); the NFPL kernels read them as arrays. ``step`` is a
+one-request block that returns a :class:`PolicyStep`. Whatever the policy,
+``cache`` holds Python ints.
 
 File ids are checked once, where they enter the program: a
 :class:`~nfplcache.core.Trace` holds only ids in ``[0, N)``, and ``step``
@@ -137,6 +137,10 @@ class _BlockPolicy:
     observation bits: LFU and LRU loop over the requests, NFPL only over the
     events that can move its cache. Each request is scored against the cache
     it finds, then counted. No reference to either array outlives the call.
+
+    ``observed`` must be a bool array, not merely one of 0s and 1s: the
+    loops read one byte per bit through ``tobytes()``, as LFU's and LRU's
+    ints 0 or 1 and as the bytes that d-nfpl searches and counts.
     """
 
     _one = None  # step()'s one-request block: made by the first call, rewritten by each
@@ -522,8 +526,13 @@ class NfplPolicy(_BlockPolicy):
         """Add the refreshes of ``n`` requests from t0, counted at the block
         positions ``at``: the distinct batches that counted a request, with
         the batch open at t0 if an earlier block counted in it, less the one
-        still open at the end, which carries its flag to the next block."""
+        still open at the end, which carries its flag to the next block.
+        At B = 1 each counted request is a batch, and a refresh, of its own,
+        and no batch is left open."""
         batch = self._batch
+        if batch == 1:
+            self.cache_refreshes += len(at)
+            return
         last = t0 // batch if self._flag else -1
         refreshes = last >= 0
         if len(at):
@@ -599,15 +608,13 @@ class NfplPolicy(_BlockPolicy):
         hot = reach.nonzero()[0]
         self.sampled_steps += len(ids)
         batch = self._batch
-        if batch == 1:  # each counted request is a batch, and a refresh, of its own
-            self.cache_refreshes += len(ids)
+        n = len(requests)
+        where = counted.nonzero()[0]  # the counted requests' block positions
+        self._tally_refreshes(t0, n, where)
+        if batch == 1:
             if not len(hot):
-                return len(requests) - self._in_cache[requests].tobytes().count(1)
-            where = counted.nonzero()[0]  # the counted requests' block positions
+                return n - self._in_cache[requests].tobytes().count(1)
         else:
-            n = len(requests)
-            where = counted.nonzero()[0]
-            self._tally_refreshes(t0, n, where)
             dirty = self._dirty  # the batch open at t0 may end in this block
             # carry the files counted in the batch open at the end
             begin = (t0 + n) // batch * batch - t0  # where the open batch starts
@@ -784,7 +791,7 @@ class LfuPolicy(_BlockPolicy):
                 requests, observed = requests.compress(keep), observed.compress(keep)
                 settled = zip(ids.tolist(), ends.tolist())
         misses = 0
-        for f, obs in zip(requests.tolist(), observed.tolist()):
+        for f, obs in zip(requests.tolist(), observed.tobytes()):
             if f in cache:
                 if obs:
                     counts[f] += 1
@@ -822,19 +829,18 @@ class LruPolicy(_BlockPolicy):
         recency = self._recency
         to_front = recency.move_to_end
         pop_oldest = recency.popitem
-        observed = observed.tolist()
+        bits = observed.tobytes()
         misses = 0
-        for f, obs in zip(requests.tolist(), observed):
-            hit = f in recency
-            if not hit:
-                misses += 1
-            if obs:
-                if hit:
+        for f, obs in zip(requests.tolist(), bits):
+            if f in recency:
+                if obs:
                     to_front(f)
-                else:
+            else:
+                misses += 1
+                if obs:
                     pop_oldest(False)
                     recency[f] = None
-        self.sampled_steps += observed.count(True)
+        self.sampled_steps += bits.count(1)
         return misses
 
 

@@ -26,11 +26,13 @@ def test_gen_round_robin_file(tmp_path):
     assert out.read_text().split() == ["2", "1", "0", "2", "1", "0", "2"]
 
 
-def test_gen_zipf_zero_alpha_is_usage_error(tmp_path):
+def test_gen_zipf_zero_alpha_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["gen", "--kind", "zipf", "--n", "3", "--t", "7",
                  "--alpha", "0", "--out", str(tmp_path / "z.txt")])
     assert exc.value.code == 2
+    # the usage line is the subcommand's, not the top-level one
+    assert capsys.readouterr().err.startswith("usage: nfplcache gen ")
 
 
 @pytest.mark.parametrize("command", [
@@ -71,6 +73,19 @@ def test_repeated_policy_name_is_usage_error(tmp_path, capsys, command):
     assert exc.value.code == 2
     assert "policy names must be unique, repeated: ['s-nfpl']" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_zero_runs_is_usage_error_with_the_subcommand_usage(tmp_path, capsys, command):
+    rates = ["--rates", "0.5"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--gen-kind", "zipf", "--n", "20", "--t", "100",
+                 "--policies", "s-nfpl", "--c", "2", "--runs", "0", *rates,
+                 "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: nfplcache {command} ")
+    assert f"nfplcache {command}: error: --runs must be positive" in err
 
 
 def test_zero_checkpoints_is_usage_error(tmp_path):
@@ -150,7 +165,9 @@ def test_capacity_at_or_above_catalog_size_is_usage_error(tmp_path, capsys, comm
         run_cli([command, *flags, "--policies", "s-nfpl", "--c", str(c), *rates,
                  "--out", str(tmp_path / "res")])
     assert exc.value.code == 2
-    assert "catalog" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "catalog" in err
+    assert err.startswith(f"usage: nfplcache {command} ")
     assert not (tmp_path / "res").exists()
 
 

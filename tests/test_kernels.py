@@ -215,14 +215,16 @@ def make_reference(name, config, catalog, horizon, rng, **hooks):
 
 def state(policy, with_gamma=True) -> tuple:
     """Counters, cache and counts, plus an NFPL policy's tracker scores, heap
-    layout, positions and noise. Lazy noise is compared only at batch
-    boundaries: in between, the reference still holds the previous
+    layout, positions and noise. An ordered cache (LRU's recency keys) is
+    compared in its order, oldest first. Lazy noise is compared only at
+    batch boundaries: in between, the reference still holds the previous
     boundary's offsets."""
     counts = getattr(policy, "counts", [])  # LRU keeps none
     tracker = getattr(policy, "tracker", None)  # NFPL only; d-nfpl has none
     gamma = getattr(policy, "gamma", None)
+    cache = policy.cache
     return (
-        set(policy.cache),
+        set(cache) if isinstance(cache, set) else list(cache),
         policy.heap_ops,
         policy.cache_refreshes,
         policy.sampled_steps,
@@ -265,7 +267,15 @@ def scenarios(draw):
     return n, config, requests, observed, [0, *cuts, horizon]
 
 
-def check_blocks_against_reference(name, scenario, seed, **hooks):
+def _strided(values, dtype):
+    """``values`` as a stride-2 view of an array holding each value twice."""
+    return np.repeat(np.asarray(values, dtype=dtype), 2)[::2]
+
+
+def check_blocks_against_reference(name, scenario, seed, strided=False, **hooks):
+    """Feed the scenario's blocks to ``name``'s ``run_block`` and check its
+    misses and state against the reference at every cut. ``strided`` passes
+    each block as non-contiguous views, as a caller's slices may be."""
     n, config, requests, observed, bounds = scenario
     catalog = Catalog(n)
     horizon = len(requests)
@@ -286,7 +296,12 @@ def check_blocks_against_reference(name, scenario, seed, **hooks):
 
     total = 0
     for lo, hi in zip(bounds, bounds[1:]):
-        total += pol.run_block(lo, np.asarray(requests[lo:hi]), np.asarray(observed[lo:hi]))
+        if strided:
+            ids, bits = _strided(requests[lo:hi], np.int64), _strided(observed[lo:hi], bool)
+            assert ids.strides == (16,) and bits.strides == (2,)
+        else:
+            ids, bits = np.asarray(requests[lo:hi]), np.asarray(observed[lo:hi])
+        total += pol.run_block(lo, ids, bits)
         assert total == ref_misses[hi - 1]
         assert state(pol, with_gamma(hi)) == ref_states[hi]
         assert len(pol.cache) == config.cache_capacity
@@ -302,6 +317,15 @@ def check_blocks_against_reference(name, scenario, seed, **hooks):
 @given(name=st.sampled_from(NAMES), scenario=scenarios(), seed=st.integers(0, 10**6))
 def test_run_block_matches_per_request_reference(name, scenario, seed):
     check_blocks_against_reference(name, scenario, seed)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenario=scenarios(), seed=st.integers(0, 10**6))
+def test_run_block_reads_strided_views(name, scenario, seed):
+    # run_one passes views of the trace and the mask; the loops read the
+    # bits through tobytes(), which must copy a strided view in order
+    check_blocks_against_reference(name, scenario, seed, strided=True)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
