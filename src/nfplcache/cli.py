@@ -43,6 +43,16 @@ def _parse_policies(value: str) -> list[str]:
     return names
 
 
+def _parse_seed(value: str) -> int:
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def _parse_rates(value: str) -> list[float]:
     try:
         rates = [float(v) for v in value.split(",") if v.strip()]
@@ -67,7 +77,8 @@ def _add_trace_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, help="catalog size for synthetic traces")
     parser.add_argument("--t", type=int, help="trace length for synthetic traces")
     parser.add_argument("--alpha", type=float, help="zipf exponent (default: 1.0)")
-    parser.add_argument("--trace-seed", type=int, help="seed for trace generation (default: --seed)")
+    parser.add_argument("--trace-seed", type=_parse_seed,
+                        help="seed for trace generation (default: --seed)")
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -79,7 +90,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eta", default="auto",
                         help="noise magnitude: auto (sqrt(BT/2C)), auto-exp (p*sqrt(BT/2C)), or a number")
     parser.add_argument("--runs", type=int, default=1, help="number of seeded runs")
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
+    parser.add_argument("--seed", type=_parse_seed, default=0, help="base seed")
     parser.add_argument("--parallel", type=int, default=1,
                         help="worker processes (env NFPL_THREADS overrides)")
     parser.add_argument("--out", default="results", help="output directory")
@@ -102,7 +113,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     gen.add_argument("--n", type=int, required=True, help="catalog size")
     gen.add_argument("--t", type=int, required=True, help="trace length")
     gen.add_argument("--alpha", type=float, help="zipf exponent (default: 1.0)")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_parse_seed, default=0)
     gen.add_argument("--out", required=True, help="output trace path")
 
     run = sub.add_parser("run", help="run policies over a trace and summarize")
@@ -150,8 +161,8 @@ def _synthetic_spec(parser, kind: str, n, t, alpha, seed: int) -> TraceSpec:
     if kind == "round-robin" and alpha is not None:
         parser.error("--alpha applies only to zipf traces")
     alpha = 1.0 if alpha is None else alpha
-    if kind in ("zipf", "zipf-rr") and alpha <= 0:
-        parser.error("--alpha must be positive for zipf traces")
+    if kind in ("zipf", "zipf-rr") and not 0 < alpha < float("inf"):
+        parser.error(f"--alpha must be positive and finite for zipf traces, got {alpha}")
     return TraceSpec(kind=kind, n_files=n, length=t, alpha=alpha, seed=seed)
 
 

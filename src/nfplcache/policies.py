@@ -27,15 +27,11 @@ Every argmax breaks ties toward the lower file id. In every mode the cache
 is kept once, as a bool mask of N entries that a swap or a refresh moves;
 the set ``cache`` is built from the mask at the first read after it moves.
 
-The counted path makes no call when nothing moves. Static and lazy noise
-raise a score in place through :class:`~nfplcache.topk.TopCTracker`'s
-increase-key protocol: a member at a leaf only takes its new score, a member
-at an inner node is compared with its children, and the tracker is called
-only to sift a member past a child that is now weaker, or to swap in a
-non-member that beats the weakest member. Each member raise is one heap op,
-tallied once per block as the raises less those of non-members. An LFU hit
-only raises a count: its heap keys may lag, and a miss brings the root up to
-date.
+Static and lazy noise raise scores through one method,
+:meth:`~nfplcache.topk.TopCTracker.raise_scores`, which takes a block's
+raises as a list and calls into the heap only where it moves; nothing
+outside :mod:`~nfplcache.topk` writes the tracker's state. An LFU hit only
+raises a count: its heap keys may lag, and a miss brings the root up to date.
 A block of at least N requests first settles the LFU members that no miss in
 it can evict: those whose count already exceeds the C-th largest count at
 the block's end, which one ``bincount`` gives. Each request for them is a
@@ -69,8 +65,8 @@ File ids are checked once, where they enter the program: a
 :class:`~nfplcache.core.Trace` holds only ids in ``[0, N)``, and ``step``
 rejects any other id before it touches the policy. ``run_block`` takes
 ids in ``[0, N)`` as its precondition and checks none of them, as
-:class:`~nfplcache.topk.TopCTracker`'s increase-key protocol leaves the
-check to its caller.
+:meth:`~nfplcache.topk.TopCTracker.raise_scores` leaves the check to its
+caller.
 """
 
 from __future__ import annotations
@@ -467,60 +463,23 @@ class NfplPolicy(_BlockPolicy):
 
     def _run_static(self, t0: int, requests: np.ndarray, counted: np.ndarray) -> int:
         """Static noise, at every B. Python loops over the counted requests
-        only, each raising its file's score by one through the tracker's
-        increase-key protocol. A swap reaches the cache where its request's
-        batch ends (at B = 1, right after the request); one whose batch ends
-        past the block waits in ``_waiting``. A batch that counted a request
-        is one refresh, tallied where it ends."""
+        only, in one :meth:`~nfplcache.topk.TopCTracker.raise_scores` call
+        that raises each one's file by one. A swap reaches the cache where
+        its request's batch ends (at B = 1, right after the request); one
+        whose batch ends past the block waits in ``_waiting``. A batch that
+        counted a request is one refresh, tallied where it ends."""
         batch = self._batch
         at = counted.nonzero()[0]
         ids = requests[at]
         self._counts += np.bincount(ids, minlength=self.n_files)
-        tracker = self.tracker
-        bump, sift_down = tracker.bump, tracker.sift_down
-        scores, heap, pos = tracker.scores, tracker.heap, tracker.pos
-        size = len(heap)
-        inner = size // 2  # heap[i] is a leaf from here on
-        waiting = self._waiting
-        outside = 0  # raises of non-members
-
-        for j, f in enumerate(ids.tolist()):
-            # the tracker's increase-key protocol: a call only when the heap
-            # moves
-            s = scores[f] + 1.0
-            i = pos[f]
-            if i >= inner:  # a leaf member
-                scores[f] = s
-            elif i >= 0:
-                scores[f] = s
-                k = 2 * i + 1
-                c = heap[k]
-                sc = scores[c]
-                if sc < s or (sc == s and c > f):
-                    sift_down(i)
-                elif k + 1 < size:
-                    c = heap[k + 1]
-                    sc = scores[c]
-                    if sc < s or (sc == s and c > f):
-                        sift_down(i)
-            else:
-                outside += 1
-                root = heap[0]
-                rs = scores[root]
-                if s < rs or (s == rs and f > root):
-                    scores[f] = s
-                else:
-                    # request t0 + p + 1's batch ends at the next multiple of B
-                    p = at.item(j)
-                    waiting.append((((t0 + p) // batch + 1) * batch, bump(f, s)[0], f))
-
-        tracker.op_counter += len(ids) - outside  # one per member raise
+        files = ids.tolist()
+        # request t0 + at[j] + 1's batch ends at the next multiple of B
+        self._waiting += [(((t0 + at.item(j)) // batch + 1) * batch, evicted, files[j])
+                          for j, evicted in self.tracker.raise_scores(files)]
         self.sampled_steps += len(ids)
         self.score_changes += len(ids)
         self._tally_refreshes(t0, len(requests), at)
-        if not waiting:  # the cache stays as it is
-            return len(requests) - self._in_cache[requests].tobytes().count(1)
-        return self._score_between_swaps(t0, requests, waiting)
+        return self._score_between_swaps(t0, requests, self._waiting)
 
     def _tally_refreshes(self, t0: int, n: int, at: np.ndarray) -> None:
         """Add the refreshes of ``n`` requests from t0, counted at the block
@@ -597,9 +556,10 @@ class NfplPolicy(_BlockPolicy):
         of their ids groups each file's requests in request order, and the
         j-th of them brings its count to its count before the block plus
         j + 1. A batch that ends past the block leaves the file hot, with
-        its ``_next``. The rises go through the tracker's increase-key
-        protocol in batch order (see :meth:`_in_set_order`), calling ``bump``
-        only for a swap, which reaches the cache there."""
+        its ``_next``. The rises go through one
+        :meth:`~nfplcache.topk.TopCTracker.raise_scores` call in batch order
+        (see :meth:`_in_set_order`); a swap reaches the cache where its
+        batch ends."""
         ids = requests.compress(counted)
         counts = self._counts
         added = np.bincount(ids, minlength=self.n_files)
@@ -611,18 +571,15 @@ class NfplPolicy(_BlockPolicy):
         n = len(requests)
         where = counted.nonzero()[0]  # the counted requests' block positions
         self._tally_refreshes(t0, n, where)
-        if batch == 1:
-            if not len(hot):
-                return n - self._in_cache[requests].tobytes().count(1)
-        else:
+        if batch > 1:
             dirty = self._dirty  # the batch open at t0 may end in this block
             # carry the files counted in the batch open at the end
             begin = (t0 + n) // batch * batch - t0  # where the open batch starts
             if begin > 0:
                 self._dirty = set()
             self._dirty.update(ids[where.searchsorted(begin):].tolist())
-            if not len(hot) or begin <= 0:  # no file, or no batch, to rise
-                return n - self._in_cache[requests].tobytes().count(1)
+        if not len(hot) or (batch > 1 and begin <= 0):  # no file, or no batch, to rise
+            return n - self._in_cache[requests].tobytes().count(1)
 
         # the hot files' counted requests, as block positions grouped by
         # file in ascending id order (that of ``hot``); ids narrowed to the
@@ -678,39 +635,9 @@ class NfplPolicy(_BlockPolicy):
 
         if batch > 1:
             rises = self._in_set_order(rises, dirty, ids, where)
-        tracker = self.tracker
-        bump, sift_down = tracker.bump, tracker.sift_down
-        scores, heap, pos = tracker.scores, tracker.heap, tracker.pos
-        size = len(heap)
-        inner = size // 2
-        outside = 0
-        swaps = []
-        for last, f, s in rises:
-            # the increase-key protocol of _run_static; each rise is strict
-            i = pos[f]
-            if i >= inner:
-                scores[f] = s
-            elif i >= 0:
-                scores[f] = s
-                k = 2 * i + 1
-                c = heap[k]
-                sc = scores[c]
-                if sc < s or (sc == s and c > f):
-                    sift_down(i)
-                elif k + 1 < size:
-                    c = heap[k + 1]
-                    sc = scores[c]
-                    if sc < s or (sc == s and c > f):
-                        sift_down(i)
-            else:
-                outside += 1
-                root = heap[0]
-                rs = scores[root]
-                if s < rs or (s == rs and f > root):
-                    scores[f] = s
-                else:
-                    swaps.append((t0 + last + 1, bump(f, s)[0], f))
-        tracker.op_counter += len(rises) - outside
+        ends, files, new_scores = zip(*rises) if rises else ((), (), ())
+        swaps = [(t0 + ends[j] + 1, evicted, files[j])
+                 for j, evicted in self.tracker.raise_scores(files, new_scores)]
         return self._score_between_swaps(t0, requests, swaps)
 
     _KERNELS = {"dynamic": _run_batches, "static": _run_static, "lazy": _run_lazy}

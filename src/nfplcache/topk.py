@@ -5,9 +5,11 @@ min-heap keyed by (score asc, id desc), so the root is always the member
 that would be displaced first. Scores only ever increase in this system,
 which reduces every update to an increase-key or a replace-root, both
 O(log C). ``op_counter`` tallies heap work (one per swap, plus one per
-insert/delete event) so callers can measure amortized cost. Hot loops
-raise scores through the tracker's public views and call it only when the
-heap moves (see :class:`TopCTracker`).
+insert/delete event) so callers can measure amortized cost. Scores rise
+through two methods: :meth:`TopCTracker.bump` raises one file and checks its
+arguments, and :meth:`TopCTracker.raise_scores` raises a list of files and
+touches the heap only where it moves. Nothing outside this module writes the
+tracker's state.
 
 :func:`top_c_indices` is the one-shot counterpart for a score vector
 ranked once: the candidates of a dynamic-noise refresh, whose noise is
@@ -52,27 +54,10 @@ class TopCTracker:
     depend only on the scores. The member set is ``set(heap)``.
 
     ``heap`` (member ids in heap order, weakest at index 0), ``pos`` (each
-    file's index in ``heap``, -1 for a non-member) and ``scores`` are
-    public views. A caller may raise file ``f``'s score to ``s`` without
-    calling :meth:`bump` by following the increase-key protocol, which
-    leaves ``heap``, ``pos``, ``scores`` and ``op_counter`` as :meth:`bump`
-    does for a valid id and ``s > scores[f]``:
-
-    * member (``i = pos[f] >= 0``): set ``scores[f] = s`` and add 1 to
-      ``op_counter`` (a loop may sum these and add them once). Call
-      ``sift_down(i)`` only when a child of ``i`` is weaker than ``f`` at
-      its new score, that is ``scores[c] < s`` or ``scores[c] == s`` and
-      ``c > f``. A leaf (``i >= len(heap) // 2``) has no child, and a
-      ``sift_down`` past no weaker child moves nothing and adds nothing;
-    * non-member that does not beat the root ``r = heap[0]``, that is
-      ``s < scores[r]`` or ``s == scores[r]`` and ``f > r``: set
-      ``scores[f] = s``; membership cannot change;
-    * any other case goes through :meth:`bump`, which swaps the file in and
-      returns ``(evicted, admitted)``.
-
-    No other write to ``heap``, ``pos`` or ``scores`` keeps the heap valid.
-    :meth:`bump` checks its arguments; the protocol leaves the id check to
-    its caller.
+    file's index in ``heap``, -1 for a non-member), ``scores`` and
+    ``op_counter`` are read-only views. Scores rise only through
+    :meth:`bump` and :meth:`raise_scores`, which leave the heap valid;
+    nothing outside this class writes these fields.
     """
 
     __slots__ = ("scores", "heap", "pos", "op_counter")
@@ -92,9 +77,9 @@ class TopCTracker:
         for i, f in enumerate(members):
             self.pos[f] = i
         for i in range(capacity // 2 - 1, -1, -1):
-            self.sift_down(i)
+            self._sift_down(i)
 
-    def sift_down(self, i: int) -> None:
+    def _sift_down(self, i: int) -> None:
         """Move ``heap[i]`` down past every child weaker than it under
         (score asc, id desc), adding one to ``op_counter`` per level."""
         heap = self.heap
@@ -147,7 +132,7 @@ class TopCTracker:
         i = self.pos[file_id]
         if i >= 0:
             self.op_counter += 1
-            self.sift_down(i)
+            self._sift_down(i)
             return (None, None)
         root = self.heap[0]
         root_score = self.scores[root]
@@ -156,6 +141,56 @@ class TopCTracker:
             self.heap[0] = file_id
             self.pos[file_id] = 0
             self.op_counter += 2
-            self.sift_down(0)
+            self._sift_down(0)
             return (root, file_id)
         return (None, None)
+
+    def raise_scores(self, files, new_scores=None) -> list:
+        """Raise the files of the list ``files`` in turn; returns the swaps,
+        each as ``(j, evicted)``: raising ``files[j]`` displaced the member
+        ``evicted``.
+
+        Without ``new_scores`` each raise adds one to the file's score as it
+        reads at its turn, so a file listed twice rises by two. Otherwise
+        ``files[j]`` rises to ``new_scores[j]``, which must exceed its score.
+        Each raise leaves ``heap``, ``pos``, ``scores`` and ``op_counter`` as
+        :meth:`bump` does, but calls nothing where the heap does not move: a
+        member at a leaf only takes its score, a member at an inner node
+        sifts down only past a child now weaker, and a non-member swaps in
+        through :meth:`bump` only when it beats the root. Each member raise
+        is one op, added once per call. The ids are not checked.
+        """
+        scores, heap, pos = self.scores, self.heap, self.pos
+        bump, sift_down = self.bump, self._sift_down
+        size = len(heap)
+        inner = size // 2  # heap[i] is a leaf from here on
+        by_one = new_scores is None
+        outside = 0  # raises of non-members
+        swaps = []
+        for j, f in enumerate(files):
+            s = scores[f] + 1.0 if by_one else new_scores[j]
+            i = pos[f]
+            if i >= inner:  # a leaf member
+                scores[f] = s
+            elif i >= 0:
+                scores[f] = s
+                k = 2 * i + 1
+                c = heap[k]
+                sc = scores[c]
+                if sc < s or (sc == s and c > f):
+                    sift_down(i)
+                elif k + 1 < size:
+                    c = heap[k + 1]
+                    sc = scores[c]
+                    if sc < s or (sc == s and c > f):
+                        sift_down(i)
+            else:
+                outside += 1
+                root = heap[0]
+                rs = scores[root]
+                if s < rs or (s == rs and f > root):
+                    scores[f] = s
+                else:
+                    swaps.append((j, bump(f, s)[0]))
+        self.op_counter += len(files) - outside
+        return swaps

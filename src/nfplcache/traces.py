@@ -33,8 +33,8 @@ class ObservationMask:
 
 def zipf_probs(n_files: int, alpha: float) -> np.ndarray:
     """Zipf pmf over dense ids: P(i) proportional to 1/(i+1)^alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     weights = 1.0 / np.power(np.arange(1, n_files + 1, dtype=float), alpha)
     return weights / weights.sum()
 

@@ -49,6 +49,28 @@ def test_alpha_with_a_round_robin_trace_is_usage_error(tmp_path, command):
     assert exc.value.code == 2
 
 
+GEN_ZIPF = ["gen", "--kind", "zipf", "--n", "20", "--t", "100"]
+SWEEP_ZIPF = ["sweep", "--gen-kind", "zipf", "--n", "20", "--t", "100",
+              "--policies", "s-nfpl", "--c", "3", "--rates", "0.5"]
+
+
+@pytest.mark.parametrize("args", [
+    [*GEN_ZIPF, "--alpha", "nan"],
+    [*GEN_ZIPF, "--alpha", "inf"],
+    [*GEN_ZIPF, "--seed", "-1"],
+    [*GEN_ZIPF, "--seed", "1.5"],
+    [*SWEEP_ZIPF, "--alpha", "nan"],
+    [*SWEEP_ZIPF, "--seed", "-1"],
+    [*SWEEP_ZIPF, "--trace-seed", "-1"],
+], ids=lambda args: f"{args[0]}{args[-2]}={args[-1]}")
+def test_bad_seed_or_alpha_is_usage_error_naming_the_flag(tmp_path, capsys, args):
+    # run's cases are in test_bad_flag_values_are_usage_errors
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*args, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert args[-2] in capsys.readouterr().err
+
+
 def test_gen_is_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     flags = ["gen", "--kind", "zipf", "--n", "50", "--t", "500", "--seed", "9"]
@@ -109,12 +131,17 @@ def test_zero_checkpoints_is_usage_error(tmp_path):
     ["--n", "0"],
     ["--eta", "inf"],
     ["--parallel", "0"],
+    ["--alpha", "nan"],
+    ["--alpha", "inf"],
+    ["--seed", "-1"],
+    ["--trace-seed", "-1"],
 ])
-def test_bad_flag_values_are_usage_errors(tmp_path, flags):
+def test_bad_flag_values_are_usage_errors(tmp_path, capsys, flags):
     with pytest.raises(SystemExit) as exc:
         run_cli(["run", "--gen-kind", "zipf", "--n", "20", "--t", "100",
                  "--policies", "s-nfpl", "--c", "2", "--out", str(tmp_path)] + flags)
     assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
 
 
 def test_fixed_sampling_matches_the_library(tmp_path):
@@ -290,6 +317,26 @@ def test_flags_of_the_other_trace_source_are_usage_errors(tmp_path, command, sou
         run_cli([command, *source, "--policies", "s-nfpl", "--c", "3", *rates,
                  "--out", str(tmp_path / "res")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("source, message", [
+    (["--gen-kind", "zipf", "--n", "50"], "--gen-kind needs --n and --t"),
+    (["--gen-kind", "zipf", "--t", "500"], "--gen-kind needs --n and --t"),
+    (["--trace", "TRACE", "--regen-trace-per-run"],
+     "--regen-trace-per-run needs a synthetic trace"),
+], ids=["no-t", "no-n", "regen-file"])
+def test_trace_source_without_what_it_needs_is_usage_error(tmp_path, capsys, command,
+                                                           source, message):
+    trace_path = tmp_path / "t.txt"
+    trace_path.write_text("0\n1\n2\n3\n4\n", encoding="utf-8")
+    source = [str(trace_path) if flag == "TRACE" else flag for flag in source]
+    rates = ["--rates", "0.5"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, *source, "--policies", "s-nfpl", "--c", "3", *rates,
+                 "--out", str(tmp_path / "res")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 REGEN = ["--gen-kind", "zipf", "--n", "200", "--t", "5000", "--c", "10", "--runs", "3",
@@ -503,12 +550,17 @@ def test_sweep_repeated_rate_is_usage_error(tmp_path, capsys, mode):
     assert not list(tmp_path.iterdir())
 
 
-def test_empty_rate_grid_rejected(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["sweep", "--gen-kind", "zipf", "--n", "20", "--t", "100",
-                 "--policies", "s-nfpl", "--c", "2", "--rates", "",
-                 "--out", str(tmp_path)])
-    assert exc.value.code == 2
+def test_empty_rate_grid_rejected(tmp_path, capsys):
+    for rates, message in [("", "rate grid must not be empty"),
+                           ("0.5,x", "bad rate list"),
+                           ("0.5,0", "rates must lie in (0, 1]"),
+                           ("1.5", "rates must lie in (0, 1]")]:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sweep", "--gen-kind", "zipf", "--n", "20", "--t", "100",
+                     "--policies", "s-nfpl", "--c", "2", "--rates", rates,
+                     "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_parallel_env_override(tmp_path, monkeypatch):

@@ -37,6 +37,8 @@ def test_default_eta_rejects_zero_inputs():
         default_eta(1, 1, 0)
     with pytest.raises(ValueError):
         default_eta(1, 1, 8, kind="nope")
+    with pytest.raises(ValueError, match="observe_prob"):
+        default_eta(1, 1, 8, observe_prob=0.0, kind="experimental")
 
 
 def test_spawn_stream_is_deterministic():
@@ -134,6 +136,8 @@ def test_policy_config_validation():
     PolicyConfig(cache_capacity=2, eta=1.0)
     with pytest.raises(ValueError):
         PolicyConfig(cache_capacity=0, eta=1.0)
+    with pytest.raises(ValueError, match="batch_size"):
+        PolicyConfig(cache_capacity=1, batch_size=0, eta=1.0)
     with pytest.raises(ValueError):
         PolicyConfig(cache_capacity=1, eta=0.0)
     for eta in (math.inf, math.nan):

@@ -93,6 +93,9 @@ def test_regen_trace_per_run_needs_a_synthetic_spec():
     with pytest.raises(ValueError, match="synthetic"):
         run_experiment(None, [PolicySpec("lfu", cfg)],
                        runs=1, base_seed=0, regen_trace_per_run=True)
+    # without regen, a run needs a trace or a spec to draw one from
+    with pytest.raises(ValueError, match="needs a trace spec or a trace"):
+        run_experiment(None, [PolicySpec("lfu", cfg)], runs=1, base_seed=0)
 
 
 def test_make_trace_kinds():
@@ -295,7 +298,7 @@ def test_unknown_policy_is_rejected_before_any_work(monkeypatch):
 
 
 def test_empty_policy_list_is_rejected_before_any_work(monkeypatch):
-    spec, _, _ = small_setup()
+    spec, _, cfg = small_setup()
 
     def no_work(*args, **kwargs):
         raise AssertionError("set-up ran")
@@ -304,6 +307,8 @@ def test_empty_policy_list_is_rejected_before_any_work(monkeypatch):
     monkeypatch.setattr(engine, "opt_static", no_work)
     with pytest.raises(ValueError, match="need at least one policy"):
         run_experiment(spec, [], runs=3, base_seed=0)
+    with pytest.raises(ValueError, match="need at least one run"):
+        run_experiment(spec, [PolicySpec("lru", cfg)], runs=0, base_seed=0)
 
 
 def test_pool_gets_no_more_workers_than_seeds(monkeypatch):

@@ -353,8 +353,8 @@ def test_noise_on_a_half_integer_lattice(name, scenario, seed, data):
 @given(scenario=scenarios(), seed=st.integers(0, 10**6), data=st.data())
 def test_tie_heavy_noise_at_unit_and_wide_batches(name, batch, scenario, seed, data):
     # gamma0 all zero, or drawn from {0, 0.5}, makes a raised member tie its
-    # heap children often, with lower and with higher ids: the kernels skip
-    # sift_down only when no child is weaker under (score asc, id desc)
+    # heap children often, with lower and with higher ids: raise_scores skips
+    # the sift only when no child is weaker under (score asc, id desc)
     n, config, requests, observed, bounds = scenario
     eta = data.draw(st.sampled_from((0.5, 1.0, 2.0)))
     offsets = (0.0, 0.5) if eta > 0.5 and data.draw(st.booleans()) else (0.0,)

@@ -10,6 +10,7 @@ from nfplcache.metrics import (
     default_checkpoints,
     read_series_csv,
     write_series_csv,
+    write_summary_table,
 )
 
 
@@ -69,6 +70,14 @@ def test_single_run_aggregates_to_itself():
 def test_mismatched_grids_rejected():
     with pytest.raises(ValueError, match="mismatched"):
         aggregate([make_run(0.4), make_run(0.4, seed=1, checkpoints=(1, 2, 8))])
+    with pytest.raises(ValueError, match="no runs"):
+        aggregate([])
+
+
+def test_summary_table_rejects_an_unknown_format(tmp_path):
+    with pytest.raises(ValueError, match="fmt"):
+        write_summary_table(tmp_path / "summary.json", [], "json")
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_checkpoint_grid_shape():

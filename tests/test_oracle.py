@@ -97,6 +97,10 @@ def test_caching_bound_rejects_bad_domain():
         regret_bound_caching(1, 2, 8, 0.0, 1.0)
     with pytest.raises(ValueError):
         regret_bound_caching(1, 2, 8, 1.0, 1.5)
+    with pytest.raises(ValueError, match="must be positive"):
+        BoundParams(r_hat=1.0, a_hat=1.0, diameter=2.0, t_rounds=0, eta=1.0)
+    with pytest.raises(ValueError, match="diameter"):
+        BoundParams(r_hat=1.0, a_hat=1.0, diameter=-1.0, t_rounds=4, eta=1.0)
 
 
 @pytest.mark.parametrize("sampling, q", [({"sample_prob": 0.4}, 0.4), ({}, 1.0),

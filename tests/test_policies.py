@@ -143,6 +143,8 @@ def test_horizon_overrun_rejected():
     drive(pol, [0, 1])
     with pytest.raises(ValueError, match="beyond horizon"):
         pol.step(3, 0, True)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        nfpl(3, 1, 0)
 
 
 @pytest.mark.parametrize("name", ["s-nfpl", "d-nfpl", "l-nfpl", "fpl"])

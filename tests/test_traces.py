@@ -9,6 +9,7 @@ from scipy import stats
 
 from nfplcache.core import STREAM_TRACE, Catalog, spawn_stream
 from nfplcache.traces import (
+    ObservationMask,
     bpo_mask,
     bucket_count,
     gen_round_robin,
@@ -140,10 +141,11 @@ def test_zipf_draw_holds_one_trace_sized_array():
 
 
 def test_zipf_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        gen_zipf(Catalog(3), 10, 0.0, spawn_stream(0, 2))
-    with pytest.raises(ValueError):
-        gen_zipf(Catalog(3), 10, -1.0, spawn_stream(0, 2))
+    for alpha in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            gen_zipf(Catalog(3), 10, alpha, spawn_stream(0, 2))
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            gen_zipf_rr(Catalog(3), 10, alpha, spawn_stream(0, 2))
 
 
 def test_zipf_rr_hand_traced_counts():
@@ -242,6 +244,23 @@ def test_zipf_rr_rejects_negative_counts():
     # [3, -1, 2] sums to the length 4, yet is no valid set of totals
     with pytest.raises(ValueError, match="non-negative"):
         gen_zipf_rr(Catalog(3), 4, 1.0, counts=[3, -1, 2])
+    with pytest.raises(ValueError, match="one entry per file"):
+        gen_zipf_rr(Catalog(3), 4, 1.0, counts=[2, 2])
+    with pytest.raises(ValueError, match="sum to the trace length"):
+        gen_zipf_rr(Catalog(3), 4, 1.0, counts=[2, 1, 0])
+    with pytest.raises(ValueError, match="rng or counts"):
+        gen_zipf_rr(Catalog(3), 4, 1.0)
+
+
+def test_generators_and_masks_reject_an_empty_trace():
+    for make in (lambda: gen_zipf(Catalog(3), 0, 1.0, spawn_stream(0, 2)),
+                 lambda: gen_zipf_rr(Catalog(3), 0, 1.0, spawn_stream(0, 2)),
+                 lambda: gen_round_robin(Catalog(3), 0),
+                 lambda: bpo_mask(0, 0.5, spawn_stream(0, 0))):
+        with pytest.raises(ValueError, match="length must be positive"):
+            make()
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ObservationMask(np.ones((2, 2), dtype=bool))
 
 
 def test_round_robin_examples():
@@ -294,6 +313,19 @@ def test_load_parse_error_names_line(tmp_path):
     path.write_text("abc\n1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
         load_trace(path)
+    path = tmp_path / "bad.csv"  # the header is line 1
+    path.write_text("ts,obj_id\n1,42\n2,4x\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3: not an integer id: '4x'"):
+        load_trace(path, id_column="obj_id")
+
+
+def test_load_skips_blank_lines_and_parses_ids_as_int_does(tmp_path):
+    # a sign, surrounding spaces and digit-group underscores are accepted
+    path = tmp_path / "dense.txt"
+    path.write_text("+1\n\n 0 \n\n0_2\n", encoding="utf-8")
+    assert load_trace(path).requests.tolist() == [1, 0, 2]
+    path.write_text("+3\n 3 \n1_000\n1000\n", encoding="utf-8")
+    assert load_trace(path).requests.tolist() == [0, 0, 1, 1]
 
 
 def test_load_rejects_empty_file(tmp_path):
