@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import Catalog, PolicyConfig, Trace, default_eta
+from .core import PolicyConfig, default_eta
 from .engine import TRACE_KINDS, PolicySpec, TraceSpec, make_trace, run_experiment
 from .metrics import (
     SUMMARY_COLUMNS,
@@ -25,7 +25,7 @@ from .metrics import (
 )
 from .oracle import regret_bound_of
 from .policies import NFPL_VARIANTS, POLICY_NAMES
-from .traces import load_trace, save_trace
+from .traces import CatalogTooSmall, load_trace, save_trace
 
 NFPL_FAMILY = tuple(NFPL_VARIANTS)  # the policies that sample and carry a regret bound
 
@@ -73,7 +73,8 @@ def _add_trace_source(parser: argparse.ArgumentParser) -> None:
     source.add_argument("--trace", help="path to a trace file (lines or csv)")
     source.add_argument("--gen-kind", choices=TRACE_KINDS, help="generate a synthetic trace")
     parser.add_argument("--id-column", help="csv column holding request ids")
-    parser.add_argument("--n-files", type=int, help="catalog size override for file traces")
+    parser.add_argument("--n-files", type=int,
+                        help="catalog size for a file trace; ids inside it are kept")
     parser.add_argument("--n", type=int, help="catalog size for synthetic traces")
     parser.add_argument("--t", type=int, help="trace length for synthetic traces")
     parser.add_argument("--alpha", type=float, help="zipf exponent (default: 1.0)")
@@ -182,11 +183,10 @@ def _resolve_trace(args, parser) -> tuple:
     if source == "--trace":
         if args.regen_trace_per_run:
             parser.error("--regen-trace-per-run needs a synthetic trace (--gen-kind)")
-        trace = load_trace(args.trace, id_column=args.id_column)
-        if args.n_files is not None:
-            if args.n_files < trace.catalog.n_files:
-                parser.error("--n-files smaller than the ids present in the trace")
-            trace = Trace(Catalog(args.n_files), trace.requests)
+        try:
+            trace = load_trace(args.trace, id_column=args.id_column, n_files=args.n_files)
+        except CatalogTooSmall as exc:
+            parser.error(f"--n-files: {exc}")
         return None, trace
     if args.regen_trace_per_run and args.trace_seed is not None:
         parser.error("--trace-seed has no effect with --regen-trace-per-run, "

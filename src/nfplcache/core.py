@@ -1,21 +1,33 @@
 """Shared domain types and the deterministic random-number contract.
 
-Randomness is organized as named substreams of a single 64-bit seed, so
-that any simulation is a pure function of its configuration. Substreams
-are built on numpy's PCG64 through ``SeedSequence(seed, spawn_key=...)``,
-which guarantees bit-identical draws across platforms and statistically
-independent streams for distinct stream ids.
+Randomness is organized as streams of a single 64-bit seed, each named by a
+key path: ``RngStream(seed, *path)`` draws from numpy's PCG64 seeded with
+``SeedSequence(seed, spawn_key=path)``, which guarantees bit-identical
+draws across platforms and statistically independent streams for distinct
+paths. ``substream(k)`` appends ``k`` to the path. The paths the program
+reads:
+
+    ==========  ==============================================
+    key path    draws
+    ==========  ==============================================
+    ``(0,)``    the observation mask shared by a seed's runs
+    ``(0, i)``  policy spec i's own mask, when unpaired
+    ``(1,)``    policy noise
+    ``(1, 1)``  NFPL's sampling bits
+    ``(2,)``    a synthetic trace
+    ==========  ==============================================
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-# Fixed stream ids: the observation mask, policy-internal randomness, and
-# synthetic trace generation never share a stream.
+# The root of each key path: the observation mask, policy-internal
+# randomness, and synthetic trace generation never share a stream.
 STREAM_BPO = 0
 STREAM_POLICY = 1
 STREAM_TRACE = 2
@@ -130,41 +142,27 @@ def default_eta(
     raise ValueError("kind must be 'theoretical' or 'experimental'")
 
 
-@dataclass(eq=False)
 class RngStream:
-    """A named, reproducible substream of a master seed.
+    """A reproducible stream of draws, named by a seed and a key path.
 
-    Same (seed, stream_id) always yields the same draw sequence.
+    The same seed and key path always yield the same draw sequence. A
+    substream's path extends its parent's, so a substream of a substream
+    is keyed under it.
     """
 
-    seed: int
-    stream_id: int
-    _gen: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+    def __init__(self, seed: int, *key: int) -> None:
+        self.seed = seed
+        self.key = key
+        ss = np.random.SeedSequence(seed, spawn_key=key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
-    def substream(self, key: int) -> "RngStream":
-        """Derive an independent stream keyed under this one."""
-        child = object.__new__(RngStream)
-        child.seed = self.seed
-        child.stream_id = self.stream_id
-        ss = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self.stream_id, key)
-        )
-        child._gen = np.random.Generator(np.random.PCG64(ss))
-        return child
+    def substream(self, k: int) -> "RngStream":
+        """The independent stream keyed ``k`` under this one."""
+        return RngStream(self.seed, *self.key, k)
 
     def snapshot(self) -> "RngStream":
         """An independent copy that continues from this stream's position."""
-        child = object.__new__(RngStream)
-        child.seed = self.seed
-        child.stream_id = self.stream_id
-        bits = np.random.PCG64(0)
-        bits.state = self._gen.bit_generator.state
-        child._gen = np.random.Generator(bits)
-        return child
+        return copy.deepcopy(self)
 
     # Draw helpers: thin wrappers so policies never touch the generator.
     def random(self, size: int | None = None):
@@ -210,5 +208,6 @@ class RngStream:
 
 
 def spawn_stream(seed: int, stream_id: int) -> RngStream:
-    """Deterministic substream: repeated calls return identical streams."""
+    """The root stream ``(stream_id,)`` of ``seed``: repeated calls return
+    identical streams."""
     return RngStream(seed, stream_id)

@@ -247,6 +247,8 @@ def run_experiment(
     """
     if runs < 1:
         raise ValueError("need at least one run")
+    if parallelism < 1:
+        raise ValueError("parallelism must be positive")
     if not policy_specs:
         raise ValueError("need at least one policy")
     names = [s.name for s in policy_specs]

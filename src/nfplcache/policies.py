@@ -216,9 +216,10 @@ class NfplPolicy(_BlockPolicy):
         self.gamma0 = gamma0
         self._gamma = gamma0  # dynamic noise rebinds it to each draw (None after a prefix draw)
 
-        # Sampling bits live on their own substream, created on first use
-        # (q = 1 never reads it) and drawn block by block (or per batch in
-        # fixed mode), so policy state stays O(N+C) whatever the horizon.
+        # Sampling bits live on the policy stream's substream 1 (key path
+        # (1, 1)), created on first use (q = 1 never reads it) and drawn
+        # block by block (or per batch in fixed mode), so policy state stays
+        # O(N+C) whatever the horizon.
         self._beta_rng = None
         self._batch_bits = None  # fixed mode: the sampled positions of the last batch drawn
         self._drawn_batch = -1
@@ -693,10 +694,11 @@ class LfuPolicy(_BlockPolicy):
         # requests[observed]; the float sums are exact below 2**53
         observed_counts = np.bincount(requests, weights=observed, minlength=self.n_files)
         end = counts + observed_counts.astype(np.int64)
-        # K is the least of the top C. A sort, not a partition: a block of at
-        # least n requests dwarfs its cost, and np.partition would page in
-        # about 0.4 MiB of code that a run without d-nfpl reads nowhere else
-        bound = np.sort(end)[self.n_files - len(self._heap)]
+        # K is the least of the top C, found as top_c_indices finds it
+        k = self.n_files - len(self._heap)
+        part = end.copy()
+        part.partition(k)
+        bound = part[k]
         members = np.fromiter(self.cache, np.intp, len(self.cache))
         settled = members[counts[members] > bound]
         return settled, end[settled]

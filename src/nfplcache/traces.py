@@ -204,14 +204,22 @@ def _parse_csv(path: Path, id_column: str) -> list[int]:
     return raw
 
 
-def load_trace(path: str | Path, id_column: str | None = None) -> Trace:
+class CatalogTooSmall(ValueError):
+    """A catalog size below the number of distinct ids in a trace file."""
+
+
+def load_trace(path: str | Path, id_column: str | None = None,
+               n_files: int | None = None) -> Trace:
     """Read a trace file: one decimal id per line, or for a ``.csv`` path a
     header row and the id column named ``id_column``, which only a ``.csv``
     path takes.
 
-    Ids that are already dense and 0-based are kept as they are, so saving
-    and reloading a trace is the identity. Other ids are remapped to dense
-    0-based ids by first appearance. The catalog is sized to the ids.
+    The catalog has ``n_files`` files, or as many as the trace has distinct
+    ids when ``n_files`` is None. Ids that all lie in ``[0, n_files)`` are
+    kept as they are, so saving and reloading a trace with its catalog size
+    is the identity. Other ids are remapped to dense 0-based ids by first
+    appearance. A catalog that cannot hold every distinct id raises
+    :class:`CatalogTooSmall`.
     """
     path = Path(path)
     if path.suffix.lower() == ".csv":
@@ -226,7 +234,14 @@ def load_trace(path: str | Path, id_column: str | None = None) -> Trace:
         raise ValueError(f"{path}: empty trace file")
 
     distinct = set(raw)
-    if min(distinct) == 0 and max(distinct) == len(distinct) - 1:
+    if n_files is None:
+        n_files = len(distinct)
+    elif n_files < len(distinct):
+        raise CatalogTooSmall(
+            f"a catalog of {n_files} files cannot hold the {len(distinct)} "
+            f"distinct ids of {path}"
+        )
+    if min(distinct) >= 0 and max(distinct) < n_files:
         requests = np.asarray(raw, dtype=np.int64)
     else:
         mapping = {}
@@ -234,4 +249,4 @@ def load_trace(path: str | Path, id_column: str | None = None) -> Trace:
             if rid not in mapping:
                 mapping[rid] = len(mapping)
         requests = np.fromiter((mapping[r] for r in raw), dtype=np.int64, count=len(raw))
-    return Trace(Catalog(len(distinct)), requests)
+    return Trace(Catalog(n_files), requests)

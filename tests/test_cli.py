@@ -174,6 +174,24 @@ def test_regret_bound_under_fixed_sampling_holds(tmp_path):
     assert payload["experiment"]["fixed_per_batch"] == 1
 
 
+def test_a_saved_trace_under_n_files_runs_as_the_generated_one(tmp_path):
+    # a zipf trace of 500 requests leaves most of its 2000 files unrequested;
+    # under --n-files its ids are kept, so the saved file simulates the same
+    # trace as --gen-kind
+    trace_path = tmp_path / "zipf.txt"
+    run_cli(["gen", "--kind", "zipf", "--n", "2000", "--t", "500", "--seed", "3",
+             "--out", str(trace_path)])
+    common = ["--policies", "s-nfpl,lru", "--c", "10"]
+    assert run_cli(["run", "--trace", str(trace_path), "--n-files", "2000", *common,
+                    "--out", str(tmp_path / "file")]) == 0
+    assert run_cli(["run", "--gen-kind", "zipf", "--n", "2000", "--t", "500",
+                    "--trace-seed", "3", *common, "--out", str(tmp_path / "gen")]) == 0
+    series = sorted(p.name for p in (tmp_path / "gen").glob("*_series.csv"))
+    assert series == ["lru_series.csv", "s-nfpl_series.csv"]
+    for name in series:
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "gen" / name).read_bytes()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("source", ["gen", "trace"])
 @pytest.mark.parametrize("c", [20, 21])
@@ -277,13 +295,18 @@ def test_id_column_with_a_plain_lines_trace_is_runtime_error(tmp_path, capsys):
     assert "id column" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n_files, code", [(45, 0), (30, 0), (29, 2), (0, 2)])
-def test_n_files_sizes_the_catalog_of_a_trace_file(tmp_path, n_files, code):
-    # the file requests files 0..29; a larger catalog keeps files that are
-    # never requested, and one that cannot hold every id is a usage error
+@pytest.mark.parametrize("stride, n_files, code", [
+    (1, 45, 0), (1, 30, 0), (1, 29, 2), (1, 0, 2), (2, 60, 0), (2, 45, 0), (2, 29, 2),
+], ids=["45-0", "30-0", "29-2", "0-2", "sparse-60-0", "sparse-45-0", "sparse-29-2"])
+def test_n_files_sizes_the_catalog_of_a_trace_file(tmp_path, stride, n_files, code):
+    # the file requests 30 files, 0..29 or (sparse) the even ids 0..58; a
+    # larger catalog keeps files that are never requested, and one that
+    # cannot hold every id is a usage error
     trace_path = tmp_path / "trace.txt"
     run_cli(["gen", "--kind", "round-robin", "--n", "30", "--t", "900",
              "--out", str(trace_path)])
+    ids = [int(line) * stride for line in trace_path.read_text().split()]
+    trace_path.write_text("".join(f"{i}\n" for i in ids))
     out = tmp_path / "res"
     flags = ["run", "--trace", str(trace_path), "--policies", "s-nfpl,lru", "--c", "3",
              "--n-files", str(n_files), "--out", str(out)]

@@ -6,12 +6,17 @@ import pytest
 import nfplcache
 from nfplcache.core import (
     DRAW_CHUNK,
+    STREAM_BPO,
+    STREAM_POLICY,
+    STREAM_TRACE,
     Catalog,
     PolicyConfig,
+    RngStream,
     Trace,
     default_eta,
     spawn_stream,
 )
+from nfplcache.engine import PolicySpec, TraceSpec, run_experiment
 
 
 def test_default_eta_theoretical_simple():
@@ -69,6 +74,49 @@ def test_substreams_are_reproducible_and_distinct():
     c = s.substream(1).random(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # a substream of a substream is keyed under it, not beside it
+    nested = s.substream(1).substream(2).random(8)
+    assert not np.array_equal(nested, s.substream(2).random(8))
+    assert not np.array_equal(nested, c)
+
+
+def raw_generator(seed, path):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path)))
+
+
+@pytest.mark.parametrize("path, build", [
+    ((0,), lambda seed: spawn_stream(seed, STREAM_BPO)),
+    ((0, 0), lambda seed: spawn_stream(seed, STREAM_BPO).substream(0)),
+    ((0, 1), lambda seed: spawn_stream(seed, STREAM_BPO).substream(1)),
+    ((1,), lambda seed: spawn_stream(seed, STREAM_POLICY)),
+    ((1, 1), lambda seed: spawn_stream(seed, STREAM_POLICY).substream(1)),
+    ((2,), lambda seed: spawn_stream(seed, STREAM_TRACE)),
+], ids=["mask", "unpaired-mask-0", "unpaired-mask-1", "noise", "sampling", "trace"])
+def test_each_key_path_draws_its_seed_sequence(path, build):
+    # the stream the program builds for each path draws the raw numpy
+    # stream of SeedSequence(seed, spawn_key=path)
+    for seed in (0, 2024):
+        stream = build(seed)
+        assert stream.key == path
+        assert np.array_equal(stream.random(16), raw_generator(seed, path).random(16))
+
+
+def test_an_experiment_reads_only_the_listed_key_paths(monkeypatch):
+    # unpaired masks at p < 1, sampled NFPL at q < 1, d-nfpl and a
+    # generated trace: together every stream the program builds
+    built = []
+    init = RngStream.__init__
+
+    def record(self, seed, *key):
+        init(self, seed, *key)
+        built.append(key)
+
+    monkeypatch.setattr(RngStream, "__init__", record)
+    cfg = PolicyConfig(cache_capacity=3, observe_prob=0.5, sample_prob=0.5, eta=2.0)
+    specs = [PolicySpec(name, cfg) for name in ("s-nfpl", "d-nfpl", "lfu")]
+    run_experiment(TraceSpec(kind="zipf", n_files=30, length=400), specs, runs=1,
+                   base_seed=5, paired=False)
+    assert set(built) == {(0,), (0, 0), (0, 1), (0, 2), (1,), (1, 1), (2,)}
 
 
 def test_bernoulli_edge_probabilities():
@@ -113,6 +161,12 @@ def test_snapshot_continues_from_the_current_position():
     ahead = s.random(4)
     assert np.array_equal(copy.random(4), ahead)
     assert np.array_equal(copy.random(2), s.random(2))
+    # a substream's copy keeps its key path
+    sub = s.substream(1)
+    sub.bernoulli(0.5, 3)
+    copy = sub.snapshot()
+    assert (copy.seed, copy.key) == (6, (1, 1))
+    assert np.array_equal(copy.random(4), sub.random(4))
 
 
 def test_catalog_requires_files():

@@ -309,6 +309,10 @@ def test_empty_policy_list_is_rejected_before_any_work(monkeypatch):
         run_experiment(spec, [], runs=3, base_seed=0)
     with pytest.raises(ValueError, match="need at least one run"):
         run_experiment(spec, [PolicySpec("lru", cfg)], runs=0, base_seed=0)
+    for parallelism in (0, -2):  # no silent fallback to running in-process
+        with pytest.raises(ValueError, match="parallelism must be positive"):
+            run_experiment(spec, [PolicySpec("lru", cfg)], runs=3, base_seed=0,
+                           parallelism=parallelism)
 
 
 def test_pool_gets_no_more_workers_than_seeds(monkeypatch):

@@ -9,6 +9,7 @@ from scipy import stats
 
 from nfplcache.core import STREAM_TRACE, Catalog, spawn_stream
 from nfplcache.traces import (
+    CatalogTooSmall,
     ObservationMask,
     bpo_mask,
     bucket_count,
@@ -306,6 +307,23 @@ def test_load_remaps_sparse_ids_by_first_appearance(tmp_path):
     trace = load_trace(path)
     assert trace.catalog.n_files == 2
     assert trace.requests.tolist() == [0, 0, 1]
+
+
+def test_load_into_a_catalog_keeps_ids_that_fit_it(tmp_path):
+    # ids inside [0, n_files) are kept even when some files go unrequested;
+    # ids outside it are remapped by first appearance, as without n_files
+    path = tmp_path / "raw.txt"
+    path.write_text("7\n7\n3\n", encoding="utf-8")
+    trace = load_trace(path, n_files=8)
+    assert trace.catalog.n_files == 8
+    assert trace.requests.tolist() == [7, 7, 3]
+    trace = load_trace(path, n_files=5)
+    assert trace.catalog.n_files == 5
+    assert trace.requests.tolist() == [0, 0, 1]
+    path.write_text("-1\n2\n", encoding="utf-8")
+    assert load_trace(path, n_files=3).requests.tolist() == [0, 1]
+    with pytest.raises(CatalogTooSmall, match="catalog of 1 files"):
+        load_trace(path, n_files=1)
 
 
 def test_load_parse_error_names_line(tmp_path):
